@@ -6,6 +6,7 @@
 #include "features/features.hpp"
 #include "obs/obs.hpp"
 #include "obs/status/status.hpp"
+#include "partition/bisection_memo.hpp"
 #include "pipeline/journal.hpp"
 #include "pipeline/shard.hpp"
 #include "pipeline/study_pipeline.hpp"
@@ -164,12 +165,19 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
     obs::logf(obs::LogLevel::kDebug, "  %s reorder+apply: %.2f ms",
               ordering_name(kind).c_str(), reorder_millis);
   }
+  // The per-core-count GP calls share one bisection tree: the k = 16/32/64
+  // partitions lie inside the k = 128 one and k = 48/72 share its top
+  // levels, so each call after the first bisects only the nodes no earlier
+  // call has (partition/bisection_memo.hpp). The permutations are
+  // bit-identical to separate calls.
+  BisectionMemo gp_memo;
   std::map<int, CsrMatrix> gp_by_cores;
   for (const Architecture& arch : machines) {
     if (gp_by_cores.count(arch.cores)) continue;
     poll_cancelled(cancel, "run_matrix_study");
     ReorderOptions gp_options = options.reorder;
     gp_options.gp_parts = arch.cores;
+    gp_options.gp_memo = &gp_memo;
     // Same ordering discipline as the loop above: nothing but
     // reorder+apply inside the watch window.
     obs::hw::CounterScope hw_scope("reorder.gp");
@@ -194,6 +202,10 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
   ORDO_LATENCY_RECORD(
       "phase.reorder",
       static_cast<double>(obs::trace_now_us() - phase_start_us) * 1e-6);
+  // Every partitioner temporary is garbage by now; returning it before the
+  // profile phase keeps concurrent tasks' retained heaps from stacking up
+  // (see pipeline::release_free_heap).
+  pipeline::release_free_heap();
 
   // One reuse profile per reordered matrix, shared across machines.
   obs::status::set_phase("profile");

@@ -7,6 +7,7 @@
 
 #include "check/check.hpp"
 #include "obs/obs.hpp"
+#include "partition/bisection_memo.hpp"
 #include "partition/coarsening.hpp"
 #include "partition/fm_refinement.hpp"
 #include "partition/initial_partition.hpp"
@@ -68,10 +69,32 @@ Subgraph induced_subgraph(const Graph& g, const std::vector<index_t>& part,
   return sub;
 }
 
+// The bisection of the node at `path`: recalled from options.memo when an
+// earlier partition_graph call on the same graph already split this node at
+// this fraction, computed and recorded otherwise. Only completed bisections
+// are recorded, so a cancelled call leaves no partial entry behind.
+std::vector<index_t> node_bisection(const Graph& g, double target_fraction,
+                                    std::uint64_t seed,
+                                    const PartitionOptions& options,
+                                    const BisectionMemo::Path& path) {
+  if (options.memo) {
+    if (auto part = options.memo->find(path, target_fraction)) {
+      return std::move(*part);
+    }
+  }
+  PartitionOptions bisect_options = options;
+  bisect_options.seed = seed;
+  std::vector<index_t> part =
+      bisect_graph(g, target_fraction, bisect_options).part;
+  if (options.memo) options.memo->insert(path, target_fraction, part);
+  return part;
+}
+
 void recursive_bisect(const Graph& g, const PartitionOptions& options,
                       index_t num_parts, index_t first_part,
                       const std::vector<index_t>& to_parent,
-                      std::vector<index_t>& out_part, std::uint64_t seed) {
+                      std::vector<index_t>& out_part, std::uint64_t seed,
+                      BisectionMemo::Path& path) {
   if (num_parts <= 1 || g.num_vertices() == 0) {
     for (index_t v = 0; v < g.num_vertices(); ++v) {
       out_part[static_cast<std::size_t>(to_parent[static_cast<std::size_t>(v)])] =
@@ -85,13 +108,10 @@ void recursive_bisect(const Graph& g, const PartitionOptions& options,
   const double target_fraction =
       static_cast<double>(left_parts) / static_cast<double>(num_parts);
 
-  PartitionOptions bisect_options = options;
-  bisect_options.seed = seed;
-  const PartitionResult bisection =
-      bisect_graph(g, target_fraction, bisect_options);
-
-  const Subgraph left = induced_subgraph(g, bisection.part, 0);
-  const Subgraph right = induced_subgraph(g, bisection.part, 1);
+  const std::vector<index_t> part =
+      node_bisection(g, target_fraction, seed, options, path);
+  const Subgraph left = induced_subgraph(g, part, 0);
+  const Subgraph right = induced_subgraph(g, part, 1);
 
   // Translate the sub-to-parent maps one level further up.
   std::vector<index_t> left_map(left.to_parent.size());
@@ -103,10 +123,14 @@ void recursive_bisect(const Graph& g, const PartitionOptions& options,
     right_map[i] = to_parent[static_cast<std::size_t>(right.to_parent[i])];
   }
 
+  path.push_back({target_fraction, 0});
   recursive_bisect(left.graph, options, left_parts, first_part, left_map,
-                   out_part, seed * 6364136223846793005ULL + 1);
+                   out_part, seed * 6364136223846793005ULL + 1, path);
+  path.back().side = 1;
   recursive_bisect(right.graph, options, right_parts, first_part + left_parts,
-                   right_map, out_part, seed * 6364136223846793005ULL + 2);
+                   right_map, out_part, seed * 6364136223846793005ULL + 2,
+                   path);
+  path.pop_back();
 }
 
 // Repairs a degenerate bisection (every vertex on one side). The FM balance
@@ -213,13 +237,15 @@ PartitionResult partition_graph(const Graph& g,
   PartitionResult result;
   result.part.assign(static_cast<std::size_t>(g.num_vertices()), 0);
   result.num_parts = options.num_parts;
+  if (options.memo) options.memo->bind_to(g, options);
   if (options.num_parts > 1 && g.num_vertices() > 0) {
     std::vector<index_t> to_parent(static_cast<std::size_t>(g.num_vertices()));
     for (index_t v = 0; v < g.num_vertices(); ++v) {
       to_parent[static_cast<std::size_t>(v)] = v;
     }
+    BisectionMemo::Path path;
     recursive_bisect(g, options, options.num_parts, 0, to_parent, result.part,
-                     options.seed);
+                     options.seed, path);
   }
   result.cut = compute_edge_cut(g, result.part);
   result.imbalance =

@@ -10,6 +10,8 @@
 
 namespace ordo {
 
+class BisectionMemo;
+
 /// Options controlling the multilevel partitioners.
 struct PartitionOptions {
   /// Number of parts to produce.
@@ -26,6 +28,11 @@ struct PartitionOptions {
   /// Optional cooperative cancellation flag, polled once per bisection (see
   /// poll_cancelled in sparse/types.hpp). Null means not cancellable.
   const std::atomic<bool>* cancel = nullptr;
+  /// Optional shared bisection tree for partition_graph (see
+  /// partition/bisection_memo.hpp): calls on the same graph with the same
+  /// options but different num_parts reuse each other's finished
+  /// bisections. Null means every bisection is computed.
+  BisectionMemo* memo = nullptr;
 };
 
 /// A k-way partition assignment with its quality metrics.

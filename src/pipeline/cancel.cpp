@@ -1,12 +1,8 @@
 #include "pipeline/cancel.hpp"
 
-namespace ordo::pipeline {
+#include <optional>
 
-// The scan period bounds how late a deadline fires, not how accurate the
-// cancellation is: the task still runs until its next poll site. A few
-// milliseconds keeps even test-sized deadlines (sub-millisecond) effective
-// while costing one wakeup per period for the whole pipeline run.
-constexpr std::chrono::milliseconds kScanPeriod{2};
+namespace ordo::pipeline {
 
 DeadlineWatchdog::~DeadlineWatchdog() {
   // Move the thread out under the lock (it is guarded state — arm() may
@@ -24,11 +20,23 @@ DeadlineWatchdog::~DeadlineWatchdog() {
 
 void DeadlineWatchdog::arm(CancelToken* token,
                            std::chrono::steady_clock::time_point deadline) {
-  MutexLock lock(mutex_);
-  armed_[token] = deadline;
-  if (!thread_.joinable()) {
-    thread_ = std::thread([this] { loop(); });
+  bool new_earliest = true;
+  {
+    MutexLock lock(mutex_);
+    for (const auto& [armed_token, armed_deadline] : armed_) {
+      if (armed_token != token && armed_deadline <= deadline) {
+        new_earliest = false;
+        break;
+      }
+    }
+    armed_[token] = deadline;
+    if (!thread_.joinable()) {
+      thread_ = std::thread([this] { loop(); });
+    }
   }
+  // The loop sleeps until the earliest deadline it knew of; only a deadline
+  // before that one needs to wake it early.
+  if (new_earliest) cv_.notify_all();
 }
 
 void DeadlineWatchdog::disarm(CancelToken* token) {
@@ -39,16 +47,26 @@ void DeadlineWatchdog::disarm(CancelToken* token) {
 void DeadlineWatchdog::loop() {
   MutexLock lock(mutex_);
   while (!stop_) {
-    const auto now = std::chrono::steady_clock::now();
+    const auto now = clock_();
+    std::optional<std::chrono::steady_clock::time_point> earliest;
     for (auto it = armed_.begin(); it != armed_.end();) {
       if (it->second <= now) {
         it->first->cancel();
         it = armed_.erase(it);
       } else {
+        if (!earliest || it->second < *earliest) earliest = it->second;
         ++it;
       }
     }
-    cv_.wait_for(lock.native(), kScanPeriod);
+    // Sleep until the earliest remaining deadline, measured on the injected
+    // clock (with steady_clock::now this is wait_until(*earliest)), or until
+    // arm() brings a new earliest deadline or the destructor stops the loop.
+    // Disarming a task leaves at most one wakeup that finds nothing to do.
+    if (earliest) {
+      cv_.wait_for(lock.native(), *earliest - now);
+    } else {
+      cv_.wait(lock.native());
+    }
   }
 }
 

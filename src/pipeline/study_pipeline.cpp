@@ -2,6 +2,10 @@
 
 #include <unistd.h>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -61,6 +65,12 @@ struct ArmGuard {
 };
 
 }  // namespace
+
+void release_free_heap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
 
 std::string shard_failures_filename(int shard_index) {
   require(shard_index >= 0, "pipeline: negative shard index");
@@ -311,6 +321,7 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
       obs::status::task_finished(/*failed=*/true, token.cancelled(),
                                  watch.seconds());
     }
+    release_free_heap();
   };
 
   std::vector<std::size_t> todo;

@@ -57,6 +57,14 @@ struct StudyReport {
 StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
                                const StudyOptions& options);
 
+/// Returns freed heap pages to the OS (glibc malloc_trim; a no-op on other
+/// C libraries). glibc keeps every worker thread's arena at its high-water
+/// mark until trimmed, so without this a multi-worker run's peak RSS
+/// follows retained garbage and shifts with whichever task phases overlap.
+/// Called after every pipeline task and after run_matrix_study's reorder
+/// phase, once all partitioner temporaries are freed.
+void release_free_heap();
+
 /// Failure-row file name inside a checkpoint directory.
 inline constexpr const char* kFailuresFilename = "study_failures.jsonl";
 

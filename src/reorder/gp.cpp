@@ -35,6 +35,7 @@ Permutation gp_ordering(const CsrMatrix& a, const ReorderOptions& options) {
                                      std::max<index_t>(1, g.num_vertices()));
   popt.seed = options.seed;
   popt.cancel = options.cancel;
+  popt.memo = options.gp_memo;
   const PartitionResult partition = partition_graph(g, popt);
 
   // Stable counting sort of vertices by part id.

@@ -16,6 +16,8 @@
 
 namespace ordo {
 
+class BisectionMemo;
+
 /// The reordering algorithms of the study, plus extra baselines used for
 /// ablation benches.
 enum class OrderingKind {
@@ -61,6 +63,11 @@ struct ReorderOptions {
   /// bisection, so a pipeline soft deadline can stop a pathological case
   /// mid-ordering. Null means not cancellable.
   const std::atomic<bool>* cancel = nullptr;
+  /// Optional bisection tree shared by the GP calls of one matrix
+  /// (forwarded as PartitionOptions::memo): run_matrix_study computes GP
+  /// once per core count, and each call reuses the bisections the others
+  /// share. Null means GP partitions from scratch.
+  BisectionMemo* gp_memo = nullptr;
 };
 
 /// A computed ordering: row permutation, column permutation and whether the

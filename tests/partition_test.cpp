@@ -6,6 +6,8 @@
 #include <numeric>
 #include <queue>
 
+#include "obs/obs.hpp"
+#include "partition/bisection_memo.hpp"
 #include "partition/coarsening.hpp"
 #include "partition/fm_refinement.hpp"
 #include "partition/graph_partitioner.hpp"
@@ -229,6 +231,104 @@ TEST(GraphGrowing, HitsWeightTarget) {
     if (part[static_cast<std::size_t>(v)] == 0) weight0 += 1;
   }
   EXPECT_NEAR(static_cast<double>(weight0), 100.0, 12.0);
+}
+
+// The study's per-machine GP part counts (Table 2 order).
+const std::vector<index_t> kStudyParts = {32, 72, 64, 16, 48, 128};
+
+TEST(BisectionMemo, StudyPartCountsNeed223BisectionsInsteadOf354) {
+  // k-way recursive bisection runs k - 1 bisections, so the six study
+  // calls run 354 on their own. Through one memo they run only the nodes
+  // of the union tree: the 127 of k = 128 (which contains k = 16/32/64),
+  // plus 32 for k = 48 below the 15 nodes it shares with k = 128, plus 64
+  // for k = 72 below its 7 shared nodes — 223.
+  const Graph g = Graph::from_matrix(grid_laplacian_2d(64, 64));
+  ASSERT_GE(g.num_vertices(), 4096);
+  BisectionMemo memo;
+  std::vector<PartitionResult> shared;
+#if defined(ORDO_OBS_ENABLED)
+  obs::Counter& bisections = obs::counter("partition.gp.bisections");
+  const std::int64_t bisections_before = bisections.value();
+#endif
+  for (index_t parts : kStudyParts) {
+    PartitionOptions options;
+    options.num_parts = parts;
+    options.memo = &memo;
+    shared.push_back(partition_graph(g, options));
+  }
+  EXPECT_EQ(memo.size(), 223u);
+#if defined(ORDO_OBS_ENABLED)
+  EXPECT_EQ(bisections.value() - bisections_before, 223);
+  const std::int64_t fresh_before = bisections.value();
+#endif
+  for (std::size_t i = 0; i < kStudyParts.size(); ++i) {
+    PartitionOptions options;
+    options.num_parts = kStudyParts[i];
+    const PartitionResult fresh = partition_graph(g, options);
+    EXPECT_EQ(shared[i].part, fresh.part) << kStudyParts[i];
+    EXPECT_EQ(shared[i].cut, fresh.cut) << kStudyParts[i];
+  }
+#if defined(ORDO_OBS_ENABLED)
+  EXPECT_EQ(bisections.value() - fresh_before, 354);
+#endif
+}
+
+TEST(BisectionMemo, RepeatedCallIsServedEntirelyFromTheMemo) {
+  const Graph g = Graph::from_matrix(grid_laplacian_2d(20, 20));
+  BisectionMemo memo;
+  PartitionOptions options;
+  options.num_parts = 12;
+  options.memo = &memo;
+  const PartitionResult first = partition_graph(g, options);
+  EXPECT_EQ(memo.size(), 11u);
+  const PartitionResult second = partition_graph(g, options);
+  EXPECT_EQ(memo.size(), 11u);
+  EXPECT_EQ(second.part, first.part);
+}
+
+TEST(BisectionMemo, RejectsADifferentGraphOrOptions) {
+  const Graph g = Graph::from_matrix(grid_laplacian_2d(20, 20));
+  PartitionOptions bound;
+  bound.num_parts = 8;
+  auto reuse_throws = [&](const Graph& graph, PartitionOptions options) {
+    BisectionMemo memo;
+    PartitionOptions first = bound;
+    first.memo = &memo;
+    (void)partition_graph(g, first);
+    options.memo = &memo;
+    EXPECT_THROW((void)partition_graph(graph, options),
+                 invalid_argument_error);
+  };
+  reuse_throws(Graph::from_matrix(grid_laplacian_2d(20, 21)), bound);
+  // Same vertex count, different edges.
+  reuse_throws(Graph::from_matrix(random_symmetric(400, 4.0, 3)), bound);
+  // Same structure, different vertex weights.
+  std::vector<offset_t> adj_ptr(g.adj_ptr().begin(), g.adj_ptr().end());
+  std::vector<index_t> adj(g.adj().begin(), g.adj().end());
+  std::vector<index_t> vweights(static_cast<std::size_t>(g.num_vertices()), 1);
+  vweights[0] = 2;
+  reuse_throws(Graph(g.num_vertices(), std::move(adj_ptr), std::move(adj),
+                     std::move(vweights), {}),
+               bound);
+  PartitionOptions options = bound;
+  options.seed = 2;
+  reuse_throws(g, options);
+  options = bound;
+  options.imbalance_tolerance = 0.1;
+  reuse_throws(g, options);
+  options = bound;
+  options.coarsen_to = 50;
+  reuse_throws(g, options);
+  options = bound;
+  options.refine_passes = 4;
+  reuse_throws(g, options);
+  // A different part count is exactly what the memo is for.
+  BisectionMemo memo;
+  options = bound;
+  options.memo = &memo;
+  (void)partition_graph(g, options);
+  options.num_parts = 5;
+  EXPECT_NO_THROW((void)partition_graph(g, options));
 }
 
 }  // namespace

@@ -113,7 +113,8 @@ TEST(DeadlineWatchdog, FlagsOnlyExpiredTokens) {
   const auto now = std::chrono::steady_clock::now();
   watchdog.arm(&expired, now);  // already past
   watchdog.arm(&future, now + std::chrono::hours(1));
-  // Poll until the watchdog's scan fires (2ms period; generous bound).
+  // Poll until the watchdog wakes for the expired deadline (arm() notifies
+  // it at once; generous bound).
   for (int i = 0; i < 2000 && !expired.cancelled(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -227,7 +228,7 @@ TEST(StudyPipeline, ResumesFromTruncatedJournal) {
 }
 
 TEST(StudyPipeline, SoftDeadlineCancelsPathologicalTask) {
-  // One large matrix (well past the ~2ms watchdog scan period) and a
+  // One large matrix (running far past its 0.1ms deadline) and a
   // deadline it cannot meet: the task must come back as a timed-out
   // failure, not hang and not abort the sweep.
   CorpusOptions big;

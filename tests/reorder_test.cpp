@@ -2,10 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <functional>
+#include <map>
 #include <set>
+#include <thread>
 
+#include "corpus/generators.hpp"
 #include "features/features.hpp"
 #include "graph/graph.hpp"
+#include "obs/obs.hpp"
+#include "partition/bisection_memo.hpp"
+#include "perfmodel/arch.hpp"
 #include "reorder/reordering.hpp"
 #include "sparse/csr_ops.hpp"
 #include "test_util.hpp"
@@ -282,6 +290,212 @@ TEST(SymmetricOrderingsPreservePatternSymmetry, OnSymmetricInput) {
     EXPECT_TRUE(is_pattern_symmetric(b)) << ordering_name(kind);
   }
 }
+
+// --- GP through a shared bisection tree (partition/bisection_memo.hpp) ---
+
+// The GP part counts run_matrix_study computes, in its order: one per
+// distinct Table 2 core count, first occurrence first.
+std::vector<index_t> study_gp_parts() {
+  std::vector<index_t> parts;
+  for (const Architecture& arch : table2_architectures()) {
+    if (std::find(parts.begin(), parts.end(), arch.cores) == parts.end()) {
+      parts.push_back(arch.cores);
+    }
+  }
+  return parts;
+}
+
+// GP permutations computed through one shared memo, in `order`, must equal
+// separate fresh gp_ordering calls bit for bit.
+void expect_shared_tree_matches_fresh(const CsrMatrix& a,
+                                      ReorderOptions options,
+                                      const std::vector<index_t>& order) {
+  std::map<index_t, Permutation> fresh;
+  for (index_t parts : order) {
+    options.gp_parts = parts;
+    fresh.emplace(parts, gp_ordering(a, options));
+  }
+  for (const bool reversed : {false, true}) {
+    std::vector<index_t> sequence = order;
+    if (reversed) std::reverse(sequence.begin(), sequence.end());
+    BisectionMemo memo;
+    ReorderOptions shared = options;
+    shared.gp_memo = &memo;
+    for (index_t parts : sequence) {
+      shared.gp_parts = parts;
+      EXPECT_EQ(gp_ordering(a, shared), fresh.at(parts))
+          << "parts=" << parts << (reversed ? " (reverse order)" : "")
+          << " seed=" << options.seed
+          << (options.gp_nnz_weighted ? " nnz-weighted" : " row-weighted");
+    }
+  }
+}
+
+struct GeneratorFamily {
+  const char* name;
+  std::function<CsrMatrix(std::uint64_t seed)> generate;
+};
+
+void PrintTo(const GeneratorFamily& family, std::ostream* out) {
+  *out << family.name;
+}
+
+class GpSharedTreeFamilyTest
+    : public ::testing::TestWithParam<GeneratorFamily> {};
+
+TEST_P(GpSharedTreeFamilyTest, BitIdenticalToFreshCallsInBothOrders) {
+  for (std::uint64_t seed : {1u, 7u, 42u}) {
+    const CsrMatrix a = GetParam().generate(seed);
+    for (const bool nnz_weighted : {false, true}) {
+      ReorderOptions options;
+      options.seed = seed;
+      options.gp_nnz_weighted = nnz_weighted;
+      expect_shared_tree_matches_fresh(a, options, study_gp_parts());
+    }
+  }
+}
+
+// Every generator family of the corpus (corpus/corpus.cpp), at a few hundred
+// rows, plus the named-matrix-only Mycielskian family.
+INSTANTIATE_TEST_SUITE_P(
+    CorpusFamilies, GpSharedTreeFamilyTest,
+    ::testing::Values(
+        GeneratorFamily{"mesh2d",
+                        [](std::uint64_t s) {
+                          return gen_mesh2d(
+                              24, 20 + static_cast<index_t>(s % 7),
+                              s % 2 == 0 ? 5 : 9);
+                        }},
+        GeneratorFamily{"mesh3d",
+                        [](std::uint64_t) { return gen_mesh3d(8, 8, 7, 7); }},
+        GeneratorFamily{"fem",
+                        [](std::uint64_t s) {
+                          return gen_fem_blocked(12, 12,
+                                                 2 + static_cast<int>(s % 3));
+                        }},
+        GeneratorFamily{"geometric",
+                        [](std::uint64_t s) {
+                          return gen_geometric(500, 1.4, s);
+                        }},
+        GeneratorFamily{"circuit",
+                        [](std::uint64_t s) {
+                          return gen_circuit(500, 2, 3.0, s);
+                        }},
+        GeneratorFamily{"cfd",
+                        [](std::uint64_t s) {
+                          return gen_cfd(6, 6, 5, 1 + static_cast<int>(s % 4),
+                                         s);
+                        }},
+        GeneratorFamily{"road",
+                        [](std::uint64_t s) {
+                          return gen_road_network(500, s);
+                        }},
+        GeneratorFamily{"rmat",
+                        [](std::uint64_t s) {
+                          return gen_rmat(9, 8, 0.57, 0.19, 0.19, s);
+                        }},
+        GeneratorFamily{"community",
+                        [](std::uint64_t s) {
+                          return gen_community(
+                              500, 16 + static_cast<index_t>(s % 32), 0.3, s);
+                        }},
+        GeneratorFamily{"debruijn",
+                        [](std::uint64_t s) {
+                          return gen_debruijn_chain(600, 0.02, s);
+                        }},
+        GeneratorFamily{"kkt",
+                        [](std::uint64_t s) { return gen_kkt(6, 6, 6, s); }},
+        GeneratorFamily{"banded",
+                        [](std::uint64_t s) {
+                          return gen_banded(
+                              500, 8 + static_cast<index_t>(s % 48), 0.5, s);
+                        }},
+        GeneratorFamily{"blockdiag",
+                        [](std::uint64_t s) {
+                          return gen_block_diagonal(
+                              30, 8 + static_cast<index_t>(s % 24), 0.3, s);
+                        }},
+        GeneratorFamily{"random",
+                        [](std::uint64_t s) {
+                          return gen_random_uniform(500, 6.0, s);
+                        }},
+        GeneratorFamily{"mycielskian",
+                        [](std::uint64_t) { return gen_mycielskian(8); }}),
+    [](const ::testing::TestParamInfo<GeneratorFamily>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(GpSharedTree, BitIdenticalOnGraphsSmallerThanThePartCounts) {
+  // gp_ordering clamps the part count to min(k, n): below 16 rows all six
+  // calls collapse to the same k, and between 48 and 128 rows the k = 72
+  // and k = 128 calls become k = min(k, n).
+  for (index_t n : {1, 2, 5, 12, 15, 49, 60, 90, 127}) {
+    const CsrMatrix a = random_symmetric(n, 3.0, 3);
+    for (const bool nnz_weighted : {false, true}) {
+      ReorderOptions options;
+      options.gp_nnz_weighted = nnz_weighted;
+      expect_shared_tree_matches_fresh(a, options, study_gp_parts());
+    }
+  }
+}
+
+TEST(GpSharedTree, WeightedGraphNeverReusesUnweightedSides) {
+  const CsrMatrix a = gen_circuit(400, 2, 3.0, 5);
+  BisectionMemo memo;
+  ReorderOptions options;
+  options.gp_parts = 16;
+  options.gp_memo = &memo;
+  (void)gp_ordering(a, options);
+  options.gp_nnz_weighted = true;
+  EXPECT_THROW((void)gp_ordering(a, options), invalid_argument_error);
+}
+
+#if defined(ORDO_OBS_ENABLED)
+TEST(GpSharedTree, CancelledCallThenFreshCallsAreBitIdentical) {
+  // A GP call cancelled mid-way leaves only completed bisections in the
+  // memo, so the calls after it still match fresh ones. The cancel flag is
+  // raised by a watcher once the partitioner's bisection counter shows that
+  // a bisection has completed; whether the flag lands before the call ends
+  // depends on scheduling, so the cancellation is retried a few times, and
+  // the identity check below holds either way.
+  const CsrMatrix a = grid_laplacian_2d(64, 64);
+  ReorderOptions options;
+  options.gp_parts = 128;
+  BisectionMemo memo;
+  bool cancelled_mid_way = false;
+  for (int attempt = 0; attempt < 5 && !cancelled_mid_way; ++attempt) {
+    memo = BisectionMemo();
+    std::atomic<bool> cancel{false};
+    obs::Counter& bisections = obs::counter("partition.gp.bisections");
+    const std::int64_t before = bisections.value();
+    std::thread watcher([&] {
+      // Two started bisections mean the first one has been recorded.
+      while (bisections.value() < before + 2) std::this_thread::yield();
+      // Relaxed: the flag publishes nothing but itself (poll_cancelled).
+      cancel.store(true, std::memory_order_relaxed);
+    });
+    ReorderOptions cancellable = options;
+    cancellable.cancel = &cancel;
+    cancellable.gp_memo = &memo;
+    try {
+      (void)gp_ordering(a, cancellable);
+    } catch (const operation_cancelled_error&) {
+      cancelled_mid_way = memo.size() > 0 && memo.size() < 127;
+    }
+    watcher.join();
+  }
+  ASSERT_TRUE(cancelled_mid_way);
+
+  for (index_t parts : study_gp_parts()) {
+    ReorderOptions fresh = options;
+    fresh.gp_parts = parts;
+    ReorderOptions shared = fresh;
+    shared.gp_memo = &memo;
+    EXPECT_EQ(gp_ordering(a, shared), gp_ordering(a, fresh)) << parts;
+  }
+  EXPECT_EQ(memo.size(), 223u);
+}
+#endif
 
 }  // namespace
 }  // namespace ordo

@@ -94,40 +94,63 @@ TEST(TsanStressTest, TaskPoolRepeatedDrainCycles) {
 }
 
 TEST(TsanStressTest, WatchdogArmDisarmChurnWithMidTaskCancellation) {
-  pipeline::DeadlineWatchdog watchdog;
+  // A manual clock that moves only when a short-deadline task pushes it past
+  // its own deadline: which tokens expire then follows from the order of
+  // events alone, never from how promptly the watchdog thread is scheduled.
+  // The 200 short tasks advance it 100us each (20ms in all), so the 60s
+  // deadlines can never be reached.
+  std::atomic<std::int64_t> clock_us{0};
+  // Relaxed: the clock value publishes no other memory; the watchdog's
+  // mutex orders the token bookkeeping.
+  auto now = [&clock_us] {
+    return std::chrono::steady_clock::time_point{} +
+           std::chrono::microseconds(clock_us.load(std::memory_order_relaxed));
+  };
+  pipeline::DeadlineWatchdog watchdog(now);
   pipeline::TaskPool pool(kWorkers);
-  std::atomic<int> cancelled{0};
-  std::atomic<int> completed{0};
+  std::atomic<int> short_cancelled{0};
+  std::atomic<int> long_cancelled{0};
+  // One shared bound for the whole test turns a broken watchdog into a
+  // failure within a minute instead of a hang; it is not a latency
+  // requirement.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::minutes(1);
   for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&watchdog, &cancelled, &completed, i] {
+    pool.submit([&, i] {
       pipeline::CancelToken token;
-      // Alternate between deadlines that fire mid-task and deadlines a
-      // task outruns, so the watchdog's scan loop races both the polling
-      // below and the disarm on scope exit.
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          (i % 2 == 0 ? std::chrono::microseconds(50)
-                      : std::chrono::seconds(60));
-      watchdog.arm(&token, deadline);
-      const auto give_up =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
-      while (!token.cancelled() &&
-             std::chrono::steady_clock::now() < give_up) {
-        std::this_thread::yield();
-      }
-      if (token.cancelled()) {
-        cancelled.fetch_add(1, std::memory_order_relaxed);
+      // Alternate between deadlines that pass mid-task and deadlines a task
+      // outruns, so the watchdog's wakeups race both the polling below and
+      // the disarm on scope exit.
+      const bool short_deadline = i % 2 == 0;
+      const std::chrono::microseconds budget =
+          short_deadline ? std::chrono::microseconds(50)
+                         : std::chrono::seconds(60);
+      watchdog.arm(&token, now() + budget);
+      if (short_deadline) {
+        // Relaxed: see the clock above.
+        clock_us.fetch_add(100, std::memory_order_relaxed);
+        // The deadline has passed, so the watchdog must cancel the token.
+        while (!token.cancelled() &&
+               std::chrono::steady_clock::now() < give_up) {
+          std::this_thread::yield();
+        }
+        // Relaxed: plain tallies, read after wait_idle().
+        if (token.cancelled()) {
+          short_cancelled.fetch_add(1, std::memory_order_relaxed);
+        }
       } else {
-        completed.fetch_add(1, std::memory_order_relaxed);
+        for (int k = 0; k < 16; ++k) std::this_thread::yield();
+        // Relaxed: plain tallies, read after wait_idle().
+        if (token.cancelled()) {
+          long_cancelled.fetch_add(1, std::memory_order_relaxed);
+        }
       }
       watchdog.disarm(&token);
     });
   }
   pool.wait_idle();
-  EXPECT_EQ(cancelled.load() + completed.load(), kTasks);
-  // The short-deadline half must actually have been cancelled by the
-  // watchdog (the 20ms give-up is 100x the 50us deadline).
-  EXPECT_GE(cancelled.load(), kTasks / 2);
+  EXPECT_EQ(short_cancelled.load(std::memory_order_relaxed), kTasks / 2);
+  EXPECT_EQ(long_cancelled.load(std::memory_order_relaxed), 0);
 }
 
 TEST(TsanStressTest, JournalWriterConcurrentAppends) {
