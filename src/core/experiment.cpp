@@ -12,6 +12,7 @@
 #include "pipeline/study_pipeline.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdint>
 #include <cstdio>
@@ -93,6 +94,47 @@ HostHwSample measure_host_hw(const CsrMatrix& matrix, const SpmvKernel& kernel,
   return sample;
 }
 
+// Per-phase wall time feeds the tail-latency histograms ("phase.<name>"),
+// the per-phase overhead distributions the reordering-effectiveness
+// question hinges on. Boundary timestamps, not a Stopwatch window: a phase
+// deliberately includes its own logging and validation. Every ordering
+// passes through every phase, so a phase's time is summed over the task's
+// orderings and recorded once per task.
+class PhaseTimes {
+ public:
+  enum Phase { kReorder, kProfile, kFeatures, kSpmv, kModel, kNone };
+
+  /// Closes the running phase and opens `phase` (also the live status tag).
+  void start(Phase phase) {
+    stop();
+    static constexpr const char* kNames[kNone] = {"reorder", "profile",
+                                                  "features", "spmv", "model"};
+    obs::status::set_phase(kNames[phase]);
+    current_ = phase;
+    started_us_ = obs::trace_now_us();
+  }
+
+  void stop() {
+    if (current_ == kNone) return;
+    micros_[current_] += obs::trace_now_us() - started_us_;
+    current_ = kNone;
+  }
+
+  /// One record per phase; "phase.spmv" only when the task ran host samples.
+  void record(bool with_spmv) const {
+    ORDO_LATENCY_RECORD("phase.reorder", micros_[kReorder] * 1e-6);
+    ORDO_LATENCY_RECORD("phase.profile", micros_[kProfile] * 1e-6);
+    ORDO_LATENCY_RECORD("phase.features", micros_[kFeatures] * 1e-6);
+    if (with_spmv) ORDO_LATENCY_RECORD("phase.spmv", micros_[kSpmv] * 1e-6);
+    ORDO_LATENCY_RECORD("phase.model", micros_[kModel] * 1e-6);
+  }
+
+ private:
+  std::array<std::int64_t, kNone> micros_{};
+  Phase current_ = kNone;
+  std::int64_t started_us_ = 0;
+};
+
 }  // namespace
 
 std::vector<SpmvKernel> study_kernels(const StudyOptions& options) {
@@ -133,169 +175,11 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
   const std::vector<SpmvKernel> kernels = study_kernels(options);
   const std::atomic<bool>* cancel = options.reorder.cancel;
 
-  // Arch-independent orderings, computed once. The GP ordering matches the
-  // part count to the machine's cores (Section 3.3), so it is computed per
-  // distinct core count instead.
-  obs::status::set_phase("reorder");
-  // Per-phase wall time feeds the tail-latency histograms ("phase.<name>"),
-  // the per-phase overhead distributions the reordering-effectiveness
-  // question hinges on. Boundary timestamps, not a Stopwatch window: the
-  // phase deliberately includes its own logging and validation.
-  std::int64_t phase_start_us = obs::trace_now_us();
-  std::map<OrderingKind, CsrMatrix> reordered;
-  for (OrderingKind kind : kinds) {
-    if (kind == OrderingKind::kGp) continue;
-    poll_cancelled(cancel, "run_matrix_study");
-    // Scope-name construction before the stopwatch, and the elapsed-time
-    // read right after the scope closes: the timed window covers only
-    // reorder+apply, not metric-name strings or the validator below.
-    obs::hw::CounterScope hw_scope("reorder." + ordering_name(kind));
-    obs::Stopwatch watch;
-    [[maybe_unused]] const auto it = reordered
-        .emplace(kind, apply_ordering(
-                           entry.matrix,
-                           compute_ordering(entry.matrix, kind,
-                                            options.reorder)))
-        .first;
-    const double reorder_millis = watch.millis();
-    hw_scope.stop();
-    ORDO_CHECK(validate_reordered_matrix(
-        entry.matrix, it->second,
-        "run_matrix_study(" + entry.name + "/" + ordering_name(kind) + ")"));
-    obs::logf(obs::LogLevel::kDebug, "  %s reorder+apply: %.2f ms",
-              ordering_name(kind).c_str(), reorder_millis);
-  }
-  // The per-core-count GP calls share one bisection tree: the k = 16/32/64
-  // partitions lie inside the k = 128 one and k = 48/72 share its top
-  // levels, so each call after the first bisects only the nodes no earlier
-  // call has (partition/bisection_memo.hpp). The permutations are
-  // bit-identical to separate calls.
-  BisectionMemo gp_memo;
-  std::map<int, CsrMatrix> gp_by_cores;
-  for (const Architecture& arch : machines) {
-    if (gp_by_cores.count(arch.cores)) continue;
-    poll_cancelled(cancel, "run_matrix_study");
-    ReorderOptions gp_options = options.reorder;
-    gp_options.gp_parts = arch.cores;
-    gp_options.gp_memo = &gp_memo;
-    // Same ordering discipline as the loop above: nothing but
-    // reorder+apply inside the watch window.
-    obs::hw::CounterScope hw_scope("reorder.gp");
-    obs::Stopwatch watch;
-    [[maybe_unused]] const auto it = gp_by_cores
-        .emplace(arch.cores,
-                 apply_ordering(entry.matrix,
-                                compute_ordering(entry.matrix,
-                                                 OrderingKind::kGp,
-                                                 gp_options)))
-        .first;
-    const double reorder_millis = watch.millis();
-    hw_scope.stop();
-    ORDO_CHECK(validate_reordered_matrix(
-        entry.matrix, it->second,
-        "run_matrix_study(" + entry.name + "/gp" +
-            std::to_string(arch.cores) + ")"));
-    obs::logf(obs::LogLevel::kDebug, "  GP(%d parts) reorder+apply: %.2f ms",
-              arch.cores, reorder_millis);
-  }
-
-  ORDO_LATENCY_RECORD(
-      "phase.reorder",
-      static_cast<double>(obs::trace_now_us() - phase_start_us) * 1e-6);
-  // Every partitioner temporary is garbage by now; returning it before the
-  // profile phase keeps concurrent tasks' retained heaps from stacking up
-  // (see pipeline::release_free_heap).
-  pipeline::release_free_heap();
-
-  // One reuse profile per reordered matrix, shared across machines.
-  obs::status::set_phase("profile");
-  phase_start_us = obs::trace_now_us();
-  std::map<OrderingKind, SpmvModel> models;
-  {
-    ORDO_SCOPE("study/reuse_profiles");
-    for (const auto& [kind, matrix] : reordered) {
-      poll_cancelled(cancel, "run_matrix_study");
-      models.emplace(kind, SpmvModel(matrix, options.model));
-    }
-  }
-  std::map<int, SpmvModel> gp_models;
-  {
-    ORDO_SCOPE("study/reuse_profiles_gp");
-    for (const auto& [cores, matrix] : gp_by_cores) {
-      poll_cancelled(cancel, "run_matrix_study");
-      gp_models.emplace(cores, SpmvModel(matrix, options.model));
-    }
-  }
-
-  ORDO_LATENCY_RECORD(
-      "phase.profile",
-      static_cast<double>(obs::trace_now_us() - phase_start_us) * 1e-6);
-
-  // Order-sensitive features: bandwidth and profile are machine-
-  // independent; the off-diagonal count uses the machine's core count as
-  // block count and is computed per distinct thread count.
-  obs::status::set_phase("features");
-  phase_start_us = obs::trace_now_us();
-  std::map<OrderingKind, std::pair<std::int64_t, std::int64_t>> band_profile;
-  for (const auto& [kind, matrix] : reordered) {
-    band_profile[kind] = {matrix_bandwidth(matrix), matrix_profile(matrix)};
-  }
-  std::map<int, std::pair<std::int64_t, std::int64_t>> gp_band_profile;
-  for (const auto& [cores, matrix] : gp_by_cores) {
-    gp_band_profile[cores] = {matrix_bandwidth(matrix),
-                              matrix_profile(matrix)};
-  }
-  std::map<std::pair<int, int>, std::int64_t> offdiag;  // (ordering idx, cores)
-  for (const Architecture& arch : machines) {
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-      const auto key = std::make_pair(static_cast<int>(k), arch.cores);
-      if (offdiag.count(key)) continue;
-      const CsrMatrix& matrix = kinds[k] == OrderingKind::kGp
-                                    ? gp_by_cores.at(arch.cores)
-                                    : reordered.at(kinds[k]);
-      offdiag[key] = off_diagonal_block_nonzeros(matrix, arch.cores);
-    }
-  }
-  ORDO_LATENCY_RECORD(
-      "phase.features",
-      static_cast<double>(obs::trace_now_us() - phase_start_us) * 1e-6);
-
-  // Host hardware-counter measurements, one per (kernel, reordered matrix).
-  // GP matrices differ per core count, so those are keyed by cores; every
-  // machine row with that core count shares the measurement.
-  std::map<std::pair<std::string, OrderingKind>, HostHwSample> host_hw;
-  std::map<std::pair<std::string, int>, HostHwSample> gp_host_hw;
-  if (options.hw_counters) {
-    ORDO_SCOPE("study/host_hw");
-    obs::status::set_phase("spmv");
-    ORDO_LATENCY_SCOPE("phase.spmv");
-    for (const SpmvKernel& kernel : kernels) {
-      for (const auto& [kind, matrix] : reordered) {
-        poll_cancelled(cancel, "run_matrix_study");
-        host_hw.emplace(
-            std::make_pair(kernel.id(), kind),
-            measure_host_hw(matrix, kernel,
-                            "spmv_host." + kernel.id() + "." +
-                                ordering_name(kind)));
-      }
-      for (const auto& [cores, matrix] : gp_by_cores) {
-        poll_cancelled(cancel, "run_matrix_study");
-        gp_host_hw.emplace(
-            std::make_pair(kernel.id(), cores),
-            measure_host_hw(matrix, kernel,
-                            "spmv_host." + kernel.id() + ".gp"));
-      }
-    }
-  }
-
+  // Every (machine, kernel) row is laid out up front; each ordering fills
+  // its own column k when it reaches the model phase.
   MatrixStudyRows rows;
-  obs::status::set_phase("model");
-  phase_start_us = obs::trace_now_us();
   for (const Architecture& arch : machines) {
-    poll_cancelled(cancel, "run_matrix_study");
     for (const SpmvKernel& kernel : kernels) {
-      obs::Span eval_span("model/" + arch.name + "/" +
-                          spmv_kernel_name(kernel));
       MeasurementRow row;
       row.group = entry.group;
       row.name = entry.name;
@@ -303,14 +187,86 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
       row.cols = entry.matrix.num_cols();
       row.nnz = entry.matrix.num_nonzeros();
       row.threads = arch.cores;
-      for (std::size_t k = 0; k < kinds.size(); ++k) {
-        const OrderingKind kind = kinds[k];
-        const CsrMatrix& matrix = kind == OrderingKind::kGp
-                                      ? gp_by_cores.at(arch.cores)
-                                      : reordered.at(kind);
-        const SpmvModel& model = kind == OrderingKind::kGp
-                                     ? gp_models.at(arch.cores)
-                                     : models.at(kind);
+      row.orderings.resize(kinds.size());
+      rows.emplace(std::make_pair(arch.name, kernel), std::move(row));
+    }
+  }
+
+  // Runs one reordered matrix through its whole pipeline — reorder, reuse
+  // profile, features, host sample, then the model for every machine it
+  // serves — and frees it before the next ordering starts, so a task holds
+  // one reordered matrix and its profile at a time, not all twelve. A GP
+  // matrix serves only the machines whose core count it was partitioned
+  // for (`cores`); every other ordering serves all of them (`cores` == 0).
+  PhaseTimes phases;
+  auto study_ordering = [&](std::size_t k, const ReorderOptions& reorder,
+                            int cores) {
+    const OrderingKind kind = kinds[k];
+    const bool gp = kind == OrderingKind::kGp;
+    const std::string tag = gp ? "gp" : ordering_name(kind);
+    auto serves = [cores](const Architecture& arch) {
+      return cores == 0 || arch.cores == cores;
+    };
+
+    phases.start(PhaseTimes::kReorder);
+    poll_cancelled(cancel, "run_matrix_study");
+    // Scope-name construction before the stopwatch, and the elapsed-time
+    // read right after the scope closes: the timed window covers only
+    // reorder+apply, not metric-name strings or the validator below.
+    obs::hw::CounterScope hw_scope("reorder." + tag);
+    obs::Stopwatch watch;
+    const CsrMatrix matrix = apply_ordering(
+        entry.matrix, compute_ordering(entry.matrix, kind, reorder));
+    const double reorder_millis = watch.millis();
+    hw_scope.stop();
+    ORDO_CHECK(validate_reordered_matrix(
+        entry.matrix, matrix,
+        "run_matrix_study(" + entry.name + "/" + tag +
+            (gp ? std::to_string(cores) : std::string()) + ")"));
+    const std::string label =
+        gp ? "GP(" + std::to_string(cores) + " parts)" : tag;
+    obs::logf(obs::LogLevel::kDebug, "  %s reorder+apply: %.2f ms",
+              label.c_str(), reorder_millis);
+
+    // The reuse profile is shared across machines.
+    phases.start(PhaseTimes::kProfile);
+    const SpmvModel model(matrix, options.model);
+
+    // Order-sensitive features: bandwidth and profile are machine-
+    // independent; the off-diagonal count uses the machine's core count as
+    // block count and is computed per distinct thread count.
+    phases.start(PhaseTimes::kFeatures);
+    const std::int64_t bandwidth = matrix_bandwidth(matrix);
+    const std::int64_t profile = matrix_profile(matrix);
+    std::map<int, std::int64_t> offdiag;
+    for (const Architecture& arch : machines) {
+      if (serves(arch) && !offdiag.count(arch.cores)) {
+        offdiag[arch.cores] = off_diagonal_block_nonzeros(matrix, arch.cores);
+      }
+    }
+
+    // Host hardware-counter measurements, one per kernel; every machine row
+    // this matrix serves shares them.
+    std::map<std::string, HostHwSample> host_hw;
+    if (options.hw_counters) {
+      ORDO_SCOPE("study/host_hw");
+      phases.start(PhaseTimes::kSpmv);
+      for (const SpmvKernel& kernel : kernels) {
+        poll_cancelled(cancel, "run_matrix_study");
+        host_hw.emplace(kernel.id(),
+                        measure_host_hw(matrix, kernel, "spmv_host." +
+                                                            kernel.id() + "." +
+                                                            tag));
+      }
+    }
+
+    phases.start(PhaseTimes::kModel);
+    for (const Architecture& arch : machines) {
+      if (!serves(arch)) continue;
+      poll_cancelled(cancel, "run_matrix_study");
+      for (const SpmvKernel& kernel : kernels) {
+        obs::Span eval_span("model/" + arch.name + "/" +
+                            spmv_kernel_name(kernel));
         // The plan (shared through the engine's cache with the model's own
         // lookup below and with every same-core-count machine) supplies the
         // per-thread work columns; the model prices it.
@@ -318,18 +274,11 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
         OrderingMeasurement m =
             to_measurement(model.estimate(kernel, arch),
                            engine::thread_work(plan->partition));
-        const auto& bp = kind == OrderingKind::kGp
-                             ? gp_band_profile.at(arch.cores)
-                             : band_profile.at(kind);
-        m.bandwidth = bp.first;
-        m.profile = bp.second;
-        m.off_diagonal_nnz =
-            offdiag.at({static_cast<int>(k), arch.cores});
+        m.bandwidth = bandwidth;
+        m.profile = profile;
+        m.off_diagonal_nnz = offdiag.at(arch.cores);
         if (options.hw_counters) {
-          const HostHwSample& sample =
-              kind == OrderingKind::kGp
-                  ? gp_host_hw.at({kernel.id(), arch.cores})
-                  : host_hw.at({kernel.id(), kind});
+          const HostHwSample& sample = host_hw.at(kernel.id());
           m.has_hw = sample.valid;
           m.hw_ipc = sample.ipc;
           m.hw_llc_miss_rate = sample.llc_miss_rate;
@@ -348,14 +297,40 @@ MatrixStudyRows run_matrix_study(const CorpusEntry& entry,
         obs::histogram(prefix + ".min_thread_nnz")
             .record(static_cast<double>(m.min_thread_nnz));
 #endif
-        row.orderings.push_back(m);
+        rows.at({arch.name, kernel}).orderings[k] = m;
       }
-      rows.emplace(std::make_pair(arch.name, kernel), std::move(row));
+    }
+    phases.stop();
+  };
+
+  for (std::size_t k = 0; k < kinds.size(); ++k) {
+    if (kinds[k] != OrderingKind::kGp) {
+      study_ordering(k, options.reorder, 0);
+      continue;
+    }
+    // The GP ordering matches the part count to the machine's cores
+    // (Section 3.3), so it runs once per distinct core count. Those calls
+    // share one bisection tree: the k = 16/32/64 partitions lie inside the
+    // k = 128 one and k = 48/72 share its top levels, so each call after the
+    // first bisects only the nodes no earlier call has
+    // (partition/bisection_memo.hpp). The permutations are bit-identical to
+    // separate calls.
+    BisectionMemo gp_memo;
+    std::vector<int> gp_cores;
+    for (const Architecture& arch : machines) {
+      if (std::find(gp_cores.begin(), gp_cores.end(), arch.cores) !=
+          gp_cores.end()) {
+        continue;
+      }
+      gp_cores.push_back(arch.cores);
+      ReorderOptions gp_options = options.reorder;
+      gp_options.gp_parts = arch.cores;
+      gp_options.gp_memo = &gp_memo;
+      study_ordering(k, gp_options, arch.cores);
     }
   }
-  ORDO_LATENCY_RECORD(
-      "phase.model",
-      static_cast<double>(obs::trace_now_us() - phase_start_us) * 1e-6);
+  phases.record(options.hw_counters);
+
   // The selector annotation happens here — inside the task, before the rows
   // reach the journal — so resumed runs replay decisions instead of
   // recomputing them, and the live `select` status section fills in as the

@@ -2,10 +2,6 @@
 
 #include <unistd.h>
 
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -64,12 +60,35 @@ struct ArmGuard {
   }
 };
 
+// Shard-worker mode (options.shard_index >= 0, set by the fork orchestrator
+// in src/pipeline/shard.cpp): the process owns the corpus indices congruent
+// to shard_index modulo shards and leaves every foreign slot empty for the
+// parent's merge.
+bool owned(const StudyOptions& options, std::size_t i) {
+  return options.shard_index < 0 ||
+         static_cast<int>(i % static_cast<std::size_t>(options.shards)) ==
+             options.shard_index;
+}
+
 }  // namespace
 
-void release_free_heap() {
-#if defined(__GLIBC__)
-  malloc_trim(0);
-#endif
+std::vector<std::size_t> task_order(const std::vector<CorpusEntry>& corpus,
+                                    const std::vector<char>& done,
+                                    const StudyOptions& options,
+                                    bool largest_first) {
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    if (owned(options, i) && !done[i]) order.push_back(i);
+  }
+  if (largest_first) {
+    // Stable, so equal nnz keeps corpus order.
+    std::stable_sort(order.begin(), order.end(),
+                     [&corpus](std::size_t a, std::size_t b) {
+                       return corpus[a].matrix.num_nonzeros() >
+                              corpus[b].matrix.num_nonzeros();
+                     });
+  }
+  return order;
 }
 
 std::string shard_failures_filename(int shard_index) {
@@ -134,11 +153,7 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
   const auto& machines = table2_architectures();
   const std::size_t n = corpus.size();
 
-  // Shard-worker mode (options.shard_index >= 0, set by the fork
-  // orchestrator in src/pipeline/shard.cpp): this process owns the corpus
-  // indices congruent to shard_index modulo shards, journals to the
-  // shard-suffixed files, and leaves every foreign slot empty for the
-  // parent's merge.
+  // A shard worker (see owned()) journals to the shard-suffixed files.
   const bool shard_worker = options.shard_index >= 0;
   if (shard_worker) {
     require(options.shards > 1 && options.shard_index < options.shards,
@@ -149,11 +164,6 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
             "pipeline: shard workers need a checkpoint directory (the shard "
             "journals are the merge channel)");
   }
-  auto owned = [&](std::size_t i) {
-    return !shard_worker ||
-           static_cast<int>(i % static_cast<std::size_t>(options.shards)) ==
-               options.shard_index;
-  };
 
   // Resolve (and validate) the kernel set up front. Nondeterministic
   // kernels are refused in checkpointed sweeps: the journal's guarantee is
@@ -200,7 +210,7 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
         // runs) is dropped rather than replayed: the shard owning it will
         // recompute it, and replaying it here would double-count the row in
         // the parent's merge.
-        if (!owned(static_cast<std::size_t>(record.index))) continue;
+        if (!owned(options, static_cast<std::size_t>(record.index))) continue;
         slots[static_cast<std::size_t>(record.index)] = std::move(record.rows);
         done[static_cast<std::size_t>(record.index)] = 1;
         ++report.resumed;
@@ -214,7 +224,7 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
             (fs::path(options.checkpoint_dir) / kJournalFilename).string();
         for (JournalRecord& record : load_journal(merged, key)) {
           const auto idx = static_cast<std::size_t>(record.index);
-          if (!owned(idx) || done[idx]) continue;
+          if (!owned(options, idx) || done[idx]) continue;
           slots[idx] = std::move(record.rows);
           done[idx] = 1;
           ++report.resumed;
@@ -321,25 +331,23 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
       obs::status::task_finished(/*failed=*/true, token.cancelled(),
                                  watch.seconds());
     }
-    release_free_heap();
   };
-
-  std::vector<std::size_t> todo;
-  todo.reserve(n);
-  std::size_t owned_total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!owned(i)) continue;
-    ++owned_total;
-    if (!done[i]) todo.push_back(i);
-  }
-  ORDO_COUNTER_ADD("pipeline.tasks.queued",
-                   static_cast<std::int64_t>(todo.size()));
 
   int jobs = options.jobs;
   if (jobs == 0) {
     jobs = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   }
   jobs = std::max(1, jobs);
+
+  const std::vector<std::size_t> todo =
+      task_order(corpus, done, options, /*largest_first=*/jobs > 1);
+  // Replay marks only owned indices done, so they and todo make up the
+  // process's whole slice.
+  const std::size_t owned_total =
+      todo.size() + static_cast<std::size_t>(
+                        std::count(done.begin(), done.end(), char{1}));
+  ORDO_COUNTER_ADD("pipeline.tasks.queued",
+                   static_cast<std::int64_t>(todo.size()));
 
   // A shard worker reports its own slice as the run: the parent's "shards"
   // status section aggregates the per-shard fractions back into a whole.
@@ -349,6 +357,7 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
     // Sequential path: inline on the calling thread, in corpus order.
     for (std::size_t i : todo) execute(i);
   } else {
+    // The pool claims tasks in submission order: largest first.
     TaskPool pool(std::min<int>(jobs, static_cast<int>(
                                           std::max<std::size_t>(1, todo.size()))));
     for (std::size_t i : todo) {

@@ -1,6 +1,7 @@
-// The study scheduler: runs the per-matrix study tasks (orderings →
-// features → per-(machine, kernel) model evaluation) of a corpus sweep on a
-// work-stealing thread pool, with
+// The study scheduler: runs the per-matrix study tasks (each ordering in
+// turn: reorder → reuse profile → features → per-(machine, kernel) model
+// evaluation) of a corpus sweep on a FIFO thread pool, largest matrix
+// first, with
 //   (a) per-task error isolation — a matrix whose reordering throws becomes
 //       a structured StudyTaskFailure row, never an aborted sweep;
 //   (b) soft per-task deadlines with cooperative cancellation (the deadline
@@ -15,8 +16,8 @@
 //
 // Observability: `pipeline.tasks.{queued,completed,failed,timeout,resumed}`
 // counters, the `pipeline.task.seconds` histogram, the
-// `pipeline.pool.{occupancy,steals}` instruments, and `pipeline/task/<name>`
-// spans (see src/obs).
+// `pipeline.pool.occupancy` gauge, and `pipeline/task/<name>` spans (see
+// src/obs).
 #pragma once
 
 #include <string>
@@ -51,19 +52,28 @@ struct StudyReport {
 /// Runs the sweep. Scheduling knobs (jobs, task_timeout_seconds,
 /// checkpoint_dir, resume) come from `options`; jobs == 1 executes tasks
 /// inline on the calling thread in corpus order (the sequential path), any
-/// other value uses the work-stealing pool. Also writes
+/// other value submits them to the pool in task_order's largest-first
+/// order. Also writes
 /// `<checkpoint_dir>/study_failures.jsonl` (one structured row per failure;
 /// removed again when a run has none) when checkpointing is enabled.
 StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
                                const StudyOptions& options);
 
-/// Returns freed heap pages to the OS (glibc malloc_trim; a no-op on other
-/// C libraries). glibc keeps every worker thread's arena at its high-water
-/// mark until trimmed, so without this a multi-worker run's peak RSS
-/// follows retained garbage and shifts with whichever task phases overlap.
-/// Called after every pipeline task and after run_matrix_study's reorder
-/// phase, once all partitioner temporaries are freed.
-void release_free_heap();
+/// The corpus indices a run computes, in the order it starts them: every
+/// index the process owns (all of them, or in a shard worker those
+/// congruent to options.shard_index modulo options.shards) that `done`
+/// (one flag per corpus index) does not mark as replayed. With
+/// `largest_first` (the pooled path) they are sorted by nnz, largest first,
+/// ties by corpus index, so the longest tasks start while short ones fill in
+/// behind them; otherwise they stay in corpus order. nnz is the sort key
+/// because each committed reorder-cost curve of the selector
+/// (select::predicted_reorder_seconds) grows with nnz and ignores rows, so
+/// nnz ranks tasks exactly as their summed predicted cost would, without
+/// making the pipeline depend on src/select.
+std::vector<std::size_t> task_order(const std::vector<CorpusEntry>& corpus,
+                                    const std::vector<char>& done,
+                                    const StudyOptions& options,
+                                    bool largest_first);
 
 /// Failure-row file name inside a checkpoint directory.
 inline constexpr const char* kFailuresFilename = "study_failures.jsonl";

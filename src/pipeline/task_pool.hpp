@@ -1,25 +1,24 @@
-// Work-stealing thread pool for the study pipeline.
+// Thread pool for the study pipeline: one mutex-guarded FIFO queue.
 //
-// Each worker owns a deque: it pops its own work from the back (LIFO, warm
-// caches) and steals from the front of a victim's deque (FIFO, oldest —
-// i.e. typically largest remaining — work first). Submissions from outside
-// the pool are dealt round-robin across the deques, so a sweep whose
-// matrices vary wildly in cost (the corpus spans three orders of magnitude
-// in nnz) self-balances: a worker that drains its share early steals the
-// stragglers' queued work instead of idling.
+// Workers claim tasks strictly in submission order, so the submitter sets
+// the schedule. The study pipeline submits its matrices largest first
+// (study_pipeline.hpp): the corpus spans three orders of magnitude in nnz,
+// and starting the longest tasks first lets the short ones fill in behind
+// them instead of leaving one straggler running alone at the end of the
+// sweep. A task is a whole matrix study (milliseconds to seconds), so one
+// lock taken per claim costs nothing measurable.
 //
 // Tasks must not throw — the pipeline wraps every study task in its own
 // error isolation; a task that does throw anyway terminates the process
 // (matching the repo-wide fail-fast idiom for internal invariants).
 //
-// Observability: `pipeline.pool.occupancy` (gauge, running tasks),
-// `pipeline.pool.steals` (counter) — see src/obs.
+// Observability: `pipeline.pool.occupancy` (gauge, running tasks) — see
+// src/obs.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -36,38 +35,28 @@ class TaskPool {
   TaskPool(const TaskPool&) = delete;
   TaskPool& operator=(const TaskPool&) = delete;
 
-  /// Enqueues a task; never blocks.
+  /// Enqueues a task at the back of the queue; never blocks on running
+  /// tasks.
   void submit(std::function<void()> task);
 
   /// Blocks until every submitted task has finished.
   void wait_idle();
 
-  int num_threads() const { return static_cast<int>(workers_.size()); }
+  int num_threads() const { return static_cast<int>(threads_.size()); }
 
  private:
-  struct Worker {
-    Mutex mutex;
-    std::deque<std::function<void()>> queue ORDO_GUARDED_BY(mutex);
-  };
+  void worker_loop();
 
-  bool try_pop_own(std::size_t self, std::function<void()>& task);
-  bool try_steal(std::size_t self, std::function<void()>& task);
-  void worker_loop(std::size_t self);
-
-  // ordo-analyze: allow(guard-coverage) sized in the constructor before any
-  // worker starts, never resized; Worker contents carry their own guards.
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  // wake_mutex_ guards the counters below and the two condition variables;
-  // per-worker queue mutexes are never held while taking it.
-  Mutex wake_mutex_;
+  // mutex_ guards the queue and counters below and the two condition
+  // variables.
+  Mutex mutex_;
   std::condition_variable wake_cv_;  ///< workers sleep here when starved
   std::condition_variable idle_cv_;  ///< wait_idle() sleeps here
-  std::size_t unclaimed_ ORDO_GUARDED_BY(wake_mutex_) = 0;
-  std::size_t in_flight_ ORDO_GUARDED_BY(wake_mutex_) = 0;
-  std::size_t next_ ORDO_GUARDED_BY(wake_mutex_) = 0;
-  bool stop_ ORDO_GUARDED_BY(wake_mutex_) = false;
+  std::deque<std::function<void()>> queue_ ORDO_GUARDED_BY(mutex_);
+  std::size_t in_flight_ ORDO_GUARDED_BY(mutex_) = 0;  ///< queued + running
+  bool stop_ ORDO_GUARDED_BY(mutex_) = false;
 };
 
 }  // namespace ordo::pipeline

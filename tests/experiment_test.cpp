@@ -2,10 +2,13 @@
 // tiny corpus, result-file round-trips, and the cache layer.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "obs/obs.hpp"
+#include "partition/bisection_memo.hpp"
 
 namespace ordo {
 namespace {
@@ -89,6 +92,109 @@ TEST(FullStudy, PopulatesObservabilityMetrics) {
   EXPECT_GT(obs::counter("partition.fm.passes").value(), 0);
 }
 #endif
+
+// FNV-1a over the eight little-endian bytes of each value. The golden
+// digests below cover integers only, so every compiler agrees on them.
+class Fnv1a {
+ public:
+  void add(std::int64_t value) {
+    const auto bits = static_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (bits >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(const Permutation& perm) {
+    add(static_cast<std::int64_t>(perm.size()));
+    for (index_t v : perm) add(static_cast<std::int64_t>(v));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+CorpusOptions golden_corpus() {
+  CorpusOptions options;
+  options.count = 6;
+  options.scale = 0.05;
+  return options;
+}
+
+// Reference digests of the golden corpus's study output, recorded from the
+// study as it stood before orderings ran one at a time through the task and
+// the pool started largest first. The other determinism tests compare two
+// runs of the same code; these pin the output itself, so a change that
+// alters any permutation or integer result column fails here even when it
+// does so identically for every --jobs value.
+constexpr std::uint64_t kGoldenPermutationDigest = 0xb7a9e48cb0f2180dULL;
+constexpr std::uint64_t kGoldenResultDigest = 0xd291d99bc8d5c32eULL;
+
+// Every permutation the study computes: the six arch-independent orderings
+// (Original included) and GP at each distinct core count, in machine order,
+// sharing one bisection tree as run_matrix_study does.
+TEST(GoldenStudy, PermutationsMatchReference) {
+  const ReorderOptions defaults = StudyOptions().reorder;
+  Fnv1a digest;
+  for (const CorpusEntry& entry : generate_corpus(golden_corpus())) {
+    for (OrderingKind kind : study_orderings()) {
+      std::vector<Ordering> orderings;
+      if (kind != OrderingKind::kGp) {
+        orderings.push_back(compute_ordering(entry.matrix, kind, defaults));
+      } else {
+        BisectionMemo memo;
+        std::vector<int> seen;
+        for (const Architecture& arch : table2_architectures()) {
+          if (std::find(seen.begin(), seen.end(), arch.cores) != seen.end()) {
+            continue;
+          }
+          seen.push_back(arch.cores);
+          ReorderOptions gp = defaults;
+          gp.gp_parts = arch.cores;
+          gp.gp_memo = &memo;
+          orderings.push_back(compute_ordering(entry.matrix, kind, gp));
+        }
+        EXPECT_EQ(seen.size(), 6u);
+      }
+      for (const Ordering& ordering : orderings) {
+        digest.add(ordering.row_perm);
+        digest.add(ordering.col_perm);
+        digest.add(ordering.symmetric ? 1 : 0);
+      }
+    }
+  }
+  EXPECT_EQ(digest.value(), kGoldenPermutationDigest)
+      << std::hex << "0x" << digest.value();
+}
+
+// The integer columns of all 16 (machine, kernel) tables, on the sequential
+// path and on the pool.
+TEST(GoldenStudy, IntegerResultColumnsMatchReference) {
+  const auto corpus = generate_corpus(golden_corpus());
+  for (int jobs : {1, 4}) {
+    StudyOptions options;
+    options.jobs = jobs;
+    const StudyResults results = run_full_study(corpus, options);
+    ASSERT_EQ(results.size(), 16u);
+    Fnv1a digest;
+    for (const auto& [key, rows] : results) {
+      digest.add(static_cast<std::int64_t>(rows.size()));
+      for (const MeasurementRow& row : rows) {
+        digest.add(row.nnz);
+        digest.add(row.threads);
+        for (const OrderingMeasurement& m : row.orderings) {
+          digest.add(m.min_thread_nnz);
+          digest.add(m.max_thread_nnz);
+          digest.add(m.bandwidth);
+          digest.add(m.profile);
+          digest.add(m.off_diagonal_nnz);
+        }
+      }
+    }
+    EXPECT_EQ(digest.value(), kGoldenResultDigest)
+        << "jobs " << jobs << std::hex << ": 0x" << digest.value();
+  }
+}
 
 TEST(ReorderingSpeedups, DividesByOriginal) {
   MeasurementRow row;

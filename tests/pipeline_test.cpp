@@ -6,6 +6,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -104,6 +105,64 @@ TEST(TaskPool, RunsEverySubmittedTask) {
   pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
   pool.wait_idle();
   EXPECT_EQ(ran.load(), 101);
+}
+
+TEST(TaskPool, RunsTasksInSubmissionOrder) {
+  pipeline::TaskPool pool(1);
+  std::promise<void> all_submitted;
+  const std::shared_future<void> released =
+      all_submitted.get_future().share();
+  // Written only by the pool's single worker; read after wait_idle().
+  std::vector<int> order;
+  // The first task holds the worker until the whole batch is queued, so
+  // the claim order of the rest is the queue's, not the submit timing's.
+  pool.submit([&order, released] {
+    released.wait();
+    order.push_back(0);
+  });
+  for (int i = 1; i < 8; ++i) pool.submit([&order, i] { order.push_back(i); });
+  all_submitted.set_value();
+  pool.wait_idle();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+/// An n x n diagonal matrix: n nonzeros.
+CorpusEntry entry_with_nnz(int n) {
+  CorpusEntry entry;
+  entry.name = "diag" + std::to_string(n);
+  std::vector<offset_t> row_ptr(static_cast<std::size_t>(n) + 1);
+  std::vector<index_t> col_idx(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    row_ptr[static_cast<std::size_t>(i) + 1] = i + 1;
+    col_idx[static_cast<std::size_t>(i)] = i;
+  }
+  entry.matrix = CsrMatrix(n, n, std::move(row_ptr), std::move(col_idx),
+                           std::vector<value_t>(static_cast<std::size_t>(n),
+                                                value_t{1}));
+  return entry;
+}
+
+TEST(StudyPipeline, TaskOrderIsLargestFirstOverPendingOwnedMatrices) {
+  std::vector<CorpusEntry> corpus;
+  for (int nnz : {3, 5, 5, 1, 7, 5, 2}) corpus.push_back(entry_with_nnz(nnz));
+  std::vector<char> done(corpus.size(), 0);
+  done[4] = 1;  // the largest, replayed from a journal
+  StudyOptions options;
+  using Order = std::vector<std::size_t>;
+  // Pooled: nnz descending, equal nnz in corpus order, replayed skipped.
+  EXPECT_EQ(pipeline::task_order(corpus, done, options, true),
+            (Order{1, 2, 5, 0, 6, 3}));
+  // Sequential: corpus order.
+  EXPECT_EQ(pipeline::task_order(corpus, done, options, false),
+            (Order{0, 1, 2, 3, 5, 6}));
+  // A shard worker orders only its own slice (i % shards == shard_index).
+  options.shards = 2;
+  options.shard_index = 1;
+  EXPECT_EQ(pipeline::task_order(corpus, done, options, true),
+            (Order{1, 5, 3}));
+  options.shard_index = 0;
+  EXPECT_EQ(pipeline::task_order(corpus, done, options, true),
+            (Order{2, 0, 6}));
 }
 
 TEST(DeadlineWatchdog, FlagsOnlyExpiredTokens) {

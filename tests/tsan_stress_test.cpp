@@ -1,11 +1,11 @@
 // ThreadSanitizer stress suite (src/pipeline + src/obs concurrency).
 //
 // These tests exist to give TSan (-DORDO_SANITIZE=thread) dense interleaving
-// coverage of every concurrent structure in the repo: the work-stealing
-// TaskPool (steal-heavy loads, cross-thread submission, repeated drain
-// cycles), DeadlineWatchdog arm/disarm churn with cancellations landing
-// mid-task, JournalWriter appends from many workers, the obs metrics
-// registry, and trace-span recording overlapped with snapshot collection.
+// coverage of every concurrent structure in the repo: the FIFO TaskPool
+// (mixed task durations, cross-thread submission, repeated drain cycles),
+// DeadlineWatchdog arm/disarm churn with cancellations landing mid-task,
+// JournalWriter appends from many workers, the obs metrics registry, and
+// trace-span recording overlapped with snapshot collection.
 // They run (and must pass) in ordinary builds too — they are plain
 // functional tests with assertions — but their interleavings only become
 // proofs under TSan, which the `tsan` CI job provides. The `Tsan` name
@@ -34,16 +34,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// Small enough to keep the suite fast, large enough that steals, wakeups
-// and watchdog scans genuinely overlap.
+// Small enough to keep the suite fast, large enough that queue claims,
+// wakeups and watchdog scans genuinely overlap.
 constexpr int kTasks = 400;
 constexpr int kWorkers = 4;
 
-TEST(TsanStressTest, TaskPoolStealHeavyMixedDurations) {
+TEST(TsanStressTest, TaskPoolMixedDurations) {
   pipeline::TaskPool pool(kWorkers);
   std::atomic<std::int64_t> sum{0};
-  // Mixed task durations force the fast workers to drain their round-robin
-  // share and steal the slow workers' backlog.
+  // Mixed task durations keep the workers out of step: a fast worker comes
+  // back for the next task while the slow ones are still running theirs.
   for (int i = 0; i < kTasks; ++i) {
     pool.submit([&sum, i] {
       if (i % 16 == 0) {
@@ -59,9 +59,8 @@ TEST(TsanStressTest, TaskPoolStealHeavyMixedDurations) {
 TEST(TsanStressTest, TaskPoolCrossThreadSubmission) {
   pipeline::TaskPool pool(kWorkers);
   std::atomic<int> executed{0};
-  // submit() from several external threads at once races the round-robin
-  // cursor, the wake counters and the per-worker queues against the
-  // workers' own pops and steals.
+  // submit() from several external threads at once races the queue and the
+  // in-flight counter against the workers' claims.
   std::vector<std::thread> submitters;
   for (int t = 0; t < 3; ++t) {
     submitters.emplace_back([&pool, &executed] {
