@@ -29,7 +29,7 @@ InvariantViolation::InvariantViolation(ViolationKind kind,
 
 namespace {
 
-std::string counter_name(ViolationKind kind) {
+[[maybe_unused]] std::string counter_name(ViolationKind kind) {
   return std::string("check.violations.") + violation_kind_name(kind);
 }
 

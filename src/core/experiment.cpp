@@ -94,12 +94,12 @@ HostHwSample measure_host_hw(const CsrMatrix& matrix, const SpmvKernel& kernel,
   return sample;
 }
 
-// Per-phase wall time feeds the tail-latency histograms ("phase.<name>"),
-// the per-phase overhead distributions the reordering-effectiveness
-// question hinges on. Boundary timestamps, not a Stopwatch window: a phase
-// deliberately includes its own logging and validation. Every ordering
-// passes through every phase, so a phase's time is summed over the task's
-// orderings and recorded once per task.
+// Per-phase wall time feeds the "phase.<name>" histograms, the per-phase
+// overhead distributions the reordering-effectiveness question hinges on.
+// Boundary timestamps, not a Stopwatch window: a phase deliberately
+// includes its own logging and validation. Every ordering passes through
+// every phase, so a phase's time is summed over the task's orderings and
+// recorded once per task.
 class PhaseTimes {
  public:
   enum Phase { kReorder, kProfile, kFeatures, kSpmv, kModel, kNone };
@@ -122,11 +122,13 @@ class PhaseTimes {
 
   /// One record per phase; "phase.spmv" only when the task ran host samples.
   void record(bool with_spmv) const {
-    ORDO_LATENCY_RECORD("phase.reorder", micros_[kReorder] * 1e-6);
-    ORDO_LATENCY_RECORD("phase.profile", micros_[kProfile] * 1e-6);
-    ORDO_LATENCY_RECORD("phase.features", micros_[kFeatures] * 1e-6);
-    if (with_spmv) ORDO_LATENCY_RECORD("phase.spmv", micros_[kSpmv] * 1e-6);
-    ORDO_LATENCY_RECORD("phase.model", micros_[kModel] * 1e-6);
+    ORDO_HISTOGRAM_RECORD("phase.reorder", micros_[kReorder] * 1e-6);
+    ORDO_HISTOGRAM_RECORD("phase.profile", micros_[kProfile] * 1e-6);
+    ORDO_HISTOGRAM_RECORD("phase.features", micros_[kFeatures] * 1e-6);
+    if (with_spmv) {
+      ORDO_HISTOGRAM_RECORD("phase.spmv", micros_[kSpmv] * 1e-6);
+    }
+    ORDO_HISTOGRAM_RECORD("phase.model", micros_[kModel] * 1e-6);
   }
 
  private:

@@ -84,12 +84,15 @@ void read_observation_fields(const JsonValue& doc, ShardObservation& obs) {
       obs.phases += phase->text;
     }
   }
-  if (const JsonValue* latency = doc.find("latency")) {
-    for (const auto& [name, value] : latency->members) {
+  const JsonValue* metrics = doc.find("metrics");
+  const JsonValue* histograms =
+      metrics != nullptr ? metrics->find("histograms") : nullptr;
+  if (histograms != nullptr) {
+    for (const auto& [name, value] : histograms->members) {
       try {
-        const ParsedLatencySnapshot parsed = parse_latency_snapshot(value);
+        ParsedHistogram parsed = parse_histogram_json(value);
         if (parsed.has_buckets && !parsed.snapshot.empty()) {
-          obs.latency.emplace_back(name, parsed.snapshot);
+          obs.histograms.emplace_back(name, std::move(parsed.snapshot));
         }
       } catch (const std::exception&) {
         // A malformed entry (schema drift, truncation) drops that one
@@ -204,14 +207,14 @@ FleetSnapshot FleetMonitor::poll() {
     if (obs.straggler) ++fleet.stragglers;
   }
 
-  // Exact fleet-wide latency: bucket sums over every shard's histograms.
-  std::map<std::string, LatencySnapshot> merged;
+  // Exact fleet-wide histograms: bucket sums over every shard's.
+  std::map<std::string, Histogram::Snapshot> merged;
   for (const ShardObservation& obs : fleet.shards) {
-    for (const auto& [name, snapshot] : obs.latency) {
+    for (const auto& [name, snapshot] : obs.histograms) {
       merged[name].merge(snapshot);
     }
   }
-  fleet.merged_latency.assign(merged.begin(), merged.end());
+  fleet.merged_histograms.assign(merged.begin(), merged.end());
 
   // Edge-triggered warnings: one structured line per state change or
   // straggler onset, so a wedged shard does not flood the log every poll.
@@ -304,35 +307,20 @@ void FleetMonitor::append_section(std::string& out) {
       out += ':';
       append_json_string(out, obs.straggler_reason);
     }
-    if (!obs.latency.empty()) {
-      out += ",\"latency\":{";
-      bool first_latency = true;
-      for (const auto& [name, snapshot] : obs.latency) {
-        if (!first_latency) out += ',';
-        first_latency = false;
-        append_json_string(out, name);
-        out += ':';
-        // Percentiles only: the shard's bucket detail stays in its own
-        // heartbeat; the fleet section reports the derived tail.
-        append_latency_snapshot_json(out, snapshot,
-                                     /*include_buckets=*/false);
-      }
-      out += '}';
+    if (!obs.histograms.empty()) {
+      // Percentiles only: the shard's bucket detail stays in its own
+      // heartbeat; the fleet section reports the derived tail.
+      out += ",\"histograms\":";
+      append_histograms_json(out, obs.histograms, /*include_buckets=*/false);
     }
     out += '}';
   }
   out += "],";
   append_kv_int(out, "stragglers", fleet.stragglers);
-  out += ",\"latency\":{";
-  first = true;
-  for (const auto& [name, snapshot] : fleet.merged_latency) {
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, name);
-    out += ':';
-    append_latency_snapshot_json(out, snapshot, /*include_buckets=*/false);
-  }
-  out += "}}";
+  out += ",\"histograms\":";
+  append_histograms_json(out, fleet.merged_histograms,
+                         /*include_buckets=*/false);
+  out += '}';
 }
 
 }  // namespace ordo::obs::agg

@@ -27,8 +27,8 @@
 // structured warning on the state transition (never per poll) and as the
 // `obs.fleet.stragglers` gauge.
 //
-// The monitor also merges the workers' latency histograms (bucket sums,
-// exact — see latency_histogram.hpp) into fleet-wide percentiles.
+// The monitor also merges every histogram the workers' heartbeats carry
+// (bucket sums, exact — see obs/metrics.hpp) into fleet-wide ones.
 #pragma once
 
 #include <cstdint>
@@ -37,13 +37,14 @@
 #include <vector>
 
 #include "core/thread_safety.hpp"
-#include "obs/agg/latency_histogram.hpp"
+#include "obs/metrics.hpp"
 
 namespace ordo::obs::agg {
 
 /// Layout version of the "fleet" section; bumped whenever a field changes
-/// meaning so ordo_top --check can detect drift.
-inline constexpr int kFleetSchemaVersion = 1;
+/// meaning so ordo_top --check can detect drift. v2: "latency" became
+/// "histograms" and carries every histogram, not only task/phase times.
+inline constexpr int kFleetSchemaVersion = 2;
 
 struct FleetShardConfig {
   int shard = -1;
@@ -87,16 +88,15 @@ struct ShardObservation {
   std::string phases;  ///< comma-joined phases of the shard's in-flight tasks
   bool straggler = false;
   std::string straggler_reason;  ///< set when straggler
-  /// The worker's latency histograms, bucket-complete when the heartbeat
-  /// carried them (schema v2 snapshots always do).
-  std::vector<std::pair<std::string, LatencySnapshot>> latency;
+  /// The worker's histograms, read bucket-complete from its heartbeat.
+  std::vector<NamedHistogram> histograms;
 };
 
 struct FleetSnapshot {
   std::vector<ShardObservation> shards;
   int stragglers = 0;
   /// Exact bucket-sum merge of every shard's histograms, keyed by name.
-  std::vector<std::pair<std::string, LatencySnapshot>> merged_latency;
+  std::vector<NamedHistogram> merged_histograms;
 };
 
 /// The parent-side poller. Thread-safe: poll() and append_section() may be
@@ -112,7 +112,7 @@ class FleetMonitor {
   FleetSnapshot poll();
 
   /// poll() + JSON emission of the "fleet" /stats section:
-  /// {"schema_version":1,"shards":[...],"stragglers":N,"latency":{...}}.
+  /// {"schema_version":2,"shards":[...],"stragglers":N,"histograms":{...}}.
   void append_section(std::string& out);
 
  private:

@@ -1,6 +1,8 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -8,11 +10,16 @@
 #include <ostream>
 
 #include "core/thread_safety.hpp"
-#include "obs/agg/latency_histogram.hpp"
+#include "obs/json.hpp"
 #include "sparse/types.hpp"
 
 namespace ordo::obs {
 namespace {
+
+// Bucket 1 starts at 2^-32: biased exponent 1023 - 32, shifted past the 3
+// sub-bucket bits that sit right above bit 49 of the IEEE-754 layout.
+constexpr std::uint64_t kFirstBucketKey = std::uint64_t{1023 - 32} << 3;
+constexpr int kSubBucketShift = 52 - 3;
 
 // One registry entry: exactly one instrument kind per name. unique_ptr keeps
 // instrument addresses stable across map growth, so returned references
@@ -33,44 +40,133 @@ Registry& registry() {
   return *r;
 }
 
+const double kQuantiles[] = {0.50, 0.90, 0.99, 0.999};
+const char* const kQuantileKeys[] = {"p50", "p90", "p99", "p999"};
+
 void write_double(std::ostream& out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.9g", v);
   out << buf;
 }
 
-void write_json_string(std::ostream& out, const std::string& s) {
-  out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out << '\\';
-    out << c;
-  }
-  out << '"';
+void append_key(std::string& out, const char* key) {
+  out += ",\"";
+  out += key;
+  out += "\":";
 }
 
 }  // namespace
 
-void Histogram::record(double value) {
-  MutexLock lock(mutex_);
-  if (state_.count == 0) {
-    state_.min = value;
-    state_.max = value;
-  } else {
-    state_.min = std::min(state_.min, value);
-    state_.max = std::max(state_.max, value);
+int histogram_bucket_index(double value) {
+  if (!(value >= 0x1p-32)) return 0;  // v <= 0, NaN and underflow
+  const std::uint64_t key =
+      (std::bit_cast<std::uint64_t>(value) >> kSubBucketShift) -
+      kFirstBucketKey + 1;
+  return static_cast<int>(
+      std::min<std::uint64_t>(key, kHistogramBuckets - 1));
+}
+
+double histogram_bucket_lower(int index) {
+  require(index >= 0 && index < kHistogramBuckets,
+          "histogram_bucket_lower: index out of range");
+  if (index == 0) return 0.0;
+  return std::bit_cast<double>(
+      (static_cast<std::uint64_t>(index - 1) + kFirstBucketKey)
+      << kSubBucketShift);
+}
+
+void Histogram::Snapshot::merge(const Snapshot& other) {
+  if (other.empty()) return;
+  min = empty() ? other.min : std::min(min, other.min);
+  max = empty() ? other.max : std::max(max, other.max);
+  for (int i = 0; i < kHistogramBuckets; ++i) buckets[i] += other.buckets[i];
+  count += other.count;
+  sum += other.sum;
+}
+
+double Histogram::Snapshot::percentile(double q) const {
+  if (empty()) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  // Rank of the q-th sample (1-based): the smallest bucket whose cumulative
+  // count reaches it. ceil keeps p100 at the last occupied bucket and p0 at
+  // the first. The clamp keeps min <= p50 <= ... <= max even when the
+  // extreme samples sit inside their buckets.
+  const std::int64_t rank = std::max<std::int64_t>(
+      1, static_cast<std::int64_t>(std::ceil(q * static_cast<double>(count))));
+  std::int64_t cumulative = 0;
+  int index = kHistogramBuckets - 1;
+  for (int i = 0; i < kHistogramBuckets; ++i) {
+    cumulative += buckets[i];
+    if (cumulative >= rank) {
+      index = i;
+      break;
+    }
   }
-  state_.sum += value;
-  state_.count += 1;
+  return std::min(std::max(histogram_bucket_lower(index), min), max);
+}
+
+void Histogram::widen(double lo, double hi) {
+  // Relaxed: min/max are monotone tallies; the release on the bucket bump
+  // that follows publishes them to snapshots (class comment).
+  double seen = min_.load(std::memory_order_relaxed);
+  while (lo < seen &&
+         !min_.compare_exchange_weak(seen, lo, std::memory_order_relaxed)) {
+  }
+  seen = max_.load(std::memory_order_relaxed);
+  while (hi > seen &&
+         !max_.compare_exchange_weak(seen, hi, std::memory_order_relaxed)) {
+  }
+}
+
+void Histogram::record(double value) {
+  widen(value, value);
+  // Relaxed: an independent tally, published by the release below.
+  sum_.fetch_add(value, std::memory_order_relaxed);
+  buckets_[static_cast<std::size_t>(histogram_bucket_index(value))].fetch_add(
+      1, std::memory_order_release);
+}
+
+void Histogram::merge(const Snapshot& snapshot) {
+  if (snapshot.empty()) return;
+  widen(snapshot.min, snapshot.max);
+  // Relaxed: same tally reasoning as record().
+  sum_.fetch_add(snapshot.sum, std::memory_order_relaxed);
+  for (int i = 0; i < kHistogramBuckets; ++i) {
+    if (snapshot.buckets[i] != 0) {
+      buckets_[static_cast<std::size_t>(i)].fetch_add(
+          snapshot.buckets[i], std::memory_order_release);
+    }
+  }
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
-  MutexLock lock(mutex_);
-  return state_;
+  Snapshot s;
+  // A snapshot is per-field coherent, not a cut: a concurrent record may be
+  // missing from the buckets but already in sum/min/max. count is the
+  // bucket total, so buckets always sum to count.
+  for (int i = 0; i < kHistogramBuckets; ++i) {
+    s.buckets[i] =
+        buckets_[static_cast<std::size_t>(i)].load(std::memory_order_acquire);
+    s.count += s.buckets[i];
+  }
+  if (s.empty()) return s;
+  // Relaxed: the acquire loads above already ordered these after every
+  // counted sample's updates.
+  s.sum = sum_.load(std::memory_order_relaxed);
+  s.min = min_.load(std::memory_order_relaxed);
+  s.max = max_.load(std::memory_order_relaxed);
+  return s;
 }
 
 void Histogram::reset() {
-  MutexLock lock(mutex_);
-  state_ = Snapshot{};
+  // Relaxed: reset is a test/harness convenience, not a synchronization
+  // point; racing records land in either the old or the new epoch.
+  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
+  sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
 }
 
 Counter& counter(const std::string& name) {
@@ -151,99 +247,138 @@ std::vector<MetricSample> sample_metrics() {
     } else if (entry.gauge) {
       sample.kind = MetricSample::Kind::kGauge;
       sample.gauge_value = entry.gauge->value();
-    } else if (entry.histogram) {
-      sample.kind = MetricSample::Kind::kHistogram;
-      sample.histogram = entry.histogram->snapshot();
+    } else {
+      continue;
     }
     samples.push_back(std::move(sample));
   }
   return samples;  // std::map iteration order is already sorted
 }
 
-void write_metrics_text(std::ostream& out) {
+std::vector<NamedHistogram> sample_histograms() {
   Registry& r = registry();
   MutexLock lock(r.mutex);
+  std::vector<NamedHistogram> samples;
   for (const auto& [name, entry] : r.entries) {
-    out << name << ' ';
-    if (entry.counter) {
-      out << "counter " << entry.counter->value();
-    } else if (entry.gauge) {
-      out << "gauge ";
-      write_double(out, entry.gauge->value());
-    } else if (entry.histogram) {
-      const Histogram::Snapshot s = entry.histogram->snapshot();
-      out << "histogram count " << s.count << " mean ";
-      write_double(out, s.mean());
-      out << " min ";
-      write_double(out, s.min);
-      out << " max ";
-      write_double(out, s.max);
-    }
-    out << '\n';
+    if (!entry.histogram) continue;
+    Histogram::Snapshot snapshot = entry.histogram->snapshot();
+    if (!snapshot.empty()) samples.emplace_back(name, std::move(snapshot));
   }
+  return samples;
+}
+
+void append_histogram_json(std::string& out,
+                           const Histogram::Snapshot& snapshot,
+                           bool include_buckets) {
+  out += "{\"count\":";
+  out += std::to_string(snapshot.count);
+  append_key(out, "sum");
+  append_json_double(out, snapshot.sum);
+  append_key(out, "min");
+  append_json_double(out, snapshot.min);
+  append_key(out, "max");
+  append_json_double(out, snapshot.max);
+  append_key(out, "mean");
+  append_json_double(out, snapshot.mean());
+  for (std::size_t i = 0; i < std::size(kQuantiles); ++i) {
+    append_key(out, kQuantileKeys[i]);
+    append_json_double(out, snapshot.percentile(kQuantiles[i]));
+  }
+  if (include_buckets) {
+    // Sparse pairs: the bucket array is mostly zeros for any real
+    // distribution, and the heartbeat carries this every interval.
+    append_key(out, "buckets");
+    out += '[';
+    bool first = true;
+    for (int i = 0; i < kHistogramBuckets; ++i) {
+      if (snapshot.buckets[i] == 0) continue;
+      if (!first) out += ',';
+      first = false;
+      out += '[';
+      out += std::to_string(i);
+      out += ',';
+      out += std::to_string(snapshot.buckets[i]);
+      out += ']';
+    }
+    out += ']';
+  }
+  out += '}';
+}
+
+void append_histograms_json(std::string& out,
+                            const std::vector<NamedHistogram>& histograms,
+                            bool include_buckets) {
+  out += '{';
+  bool first = true;
+  for (const auto& [name, snapshot] : histograms) {
+    if (!first) out += ',';
+    first = false;
+    append_json_string(out, name);
+    out += ':';
+    append_histogram_json(out, snapshot, include_buckets);
+  }
+  out += '}';
+}
+
+ParsedHistogram parse_histogram_json(const JsonValue& value) {
+  require(value.kind == JsonValue::Kind::kObject,
+          "histogram: expected an object");
+  ParsedHistogram parsed;
+  Histogram::Snapshot& s = parsed.snapshot;
+  s.count = value.at("count").as_int();
+  s.sum = value.at("sum").as_double();
+  s.min = value.at("min").as_double();
+  s.max = value.at("max").as_double();
+  if (const JsonValue* buckets = value.find("buckets")) {
+    require(buckets->kind == JsonValue::Kind::kArray,
+            "histogram: buckets must be an array");
+    parsed.has_buckets = true;
+    std::int64_t total = 0;
+    for (const JsonValue& pair : buckets->items) {
+      require(pair.kind == JsonValue::Kind::kArray && pair.items.size() == 2,
+              "histogram: bucket entries are [index,count] pairs");
+      const std::int64_t index = pair.items[0].as_int();
+      require(index >= 0 && index < kHistogramBuckets,
+              "histogram: bucket index out of range");
+      s.buckets[static_cast<std::size_t>(index)] = pair.items[1].as_int();
+      total += pair.items[1].as_int();
+    }
+    require(total == s.count, "histogram: buckets do not sum to count");
+  }
+  return parsed;
 }
 
 void write_metrics_json(std::ostream& out) {
+  // Histograms are sampled first: sample_histograms() takes the registry
+  // mutex itself.
+  std::string histograms;
+  append_histograms_json(histograms, sample_histograms(),
+                         /*include_buckets=*/true);
   Registry& r = registry();
   MutexLock lock(r.mutex);
-  const auto dump_kind = [&](const char* kind, auto&& writer) {
-    out << '"' << kind << "\":{";
-    bool first = true;
-    for (const auto& [name, entry] : r.entries) {
-      if (!writer(name, entry, first)) continue;
-      first = false;
-    }
-    out << '}';
-  };
-  out << "{\"schema_version\":" << kMetricsSchemaVersion << ',';
-  dump_kind("counters", [&](const std::string& name, const Entry& entry,
-                            bool first) {
-    if (!entry.counter) return false;
+  out << "{\"schema_version\":" << kMetricsSchemaVersion
+      << ",\"counters\":{";
+  bool first = true;
+  for (const auto& [name, entry] : r.entries) {
+    if (!entry.counter) continue;
     if (!first) out << ',';
-    write_json_string(out, name);
-    out << ':' << entry.counter->value();
-    return true;
-  });
-  out << ',';
-  dump_kind("gauges", [&](const std::string& name, const Entry& entry,
-                          bool first) {
-    if (!entry.gauge) return false;
-    if (!first) out << ',';
-    write_json_string(out, name);
-    out << ':';
-    write_double(out, entry.gauge->value());
-    return true;
-  });
-  out << ',';
-  dump_kind("histograms", [&](const std::string& name, const Entry& entry,
-                              bool first) {
-    if (!entry.histogram) return false;
-    if (!first) out << ',';
-    const Histogram::Snapshot s = entry.histogram->snapshot();
-    write_json_string(out, name);
-    out << ":{\"count\":" << s.count << ",\"sum\":";
-    write_double(out, s.sum);
-    out << ",\"min\":";
-    write_double(out, s.min);
-    out << ",\"max\":";
-    write_double(out, s.max);
-    out << ",\"mean\":";
-    write_double(out, s.mean());
-    out << '}';
-    return true;
-  });
-  // Tail-latency histograms (obs/agg/latency_histogram.hpp), buckets
-  // included so two dumps — or N shard dumps — merge exactly. An additive
-  // group: schema_version stays 1, consumers reading only the three
-  // summary groups are unaffected. Lock order is registry mutex (held
-  // here) then the latency registry's own mutex; the latency layer never
-  // takes this registry's mutex, so the order cannot invert.
-  {
-    std::string latency;
-    agg::append_latency_section(latency, /*include_buckets=*/true);
-    out << ",\"latency\":" << latency;
+    first = false;
+    std::string key;
+    append_json_string(key, name);
+    out << key << ':' << entry.counter->value();
   }
-  out << "}\n";
+  out << "},\"gauges\":{";
+  first = true;
+  for (const auto& [name, entry] : r.entries) {
+    if (!entry.gauge) continue;
+    if (!first) out << ',';
+    first = false;
+    std::string key;
+    append_json_string(key, name);
+    out << key << ':';
+    write_double(out, entry.gauge->value());
+  }
+  out << "},\"histograms\":" << histograms << "}\n";
 }
 
 void write_metrics_json_file(const std::string& path) {

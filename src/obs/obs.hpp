@@ -24,7 +24,6 @@
 //  * when compiled in but not enabled, a span costs one relaxed atomic load.
 #pragma once
 
-#include "obs/agg/latency_histogram.hpp"
 #include "obs/hw/hw_counters.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"

@@ -7,9 +7,9 @@
 #include <thread>
 
 #include "core/thread_safety.hpp"
-#include "obs/agg/latency_histogram.hpp"
 #include "obs/hw/hw_counters.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/stopwatch.hpp"
 #include "sparse/types.hpp"
 
@@ -175,17 +175,14 @@ std::string BenchReport::to_json() const {
     append_case_json(out, s.cases[i]);
   }
   out += ']';
-  // Tail-latency percentiles recorded this process-lifetime (per-task,
-  // per-phase) — the "measure tail latency, not just throughput" half of a
-  // bench's story. Additive and absent when nothing was recorded, so the
-  // schema version holds and parse_bench_report_file round-trips either way.
-  {
-    std::string latency;
-    agg::append_latency_section(latency, /*include_buckets=*/false);
-    if (latency != "{}") {
-      out += ",\"latency\":";
-      out += latency;
-    }
+  // Histograms recorded this process-lifetime (per-task and per-phase
+  // tails among them) — the "measure tail latency, not just throughput"
+  // half of a bench's story. Absent when nothing was recorded;
+  // parse_bench_report_file does not read it.
+  if (const std::vector<NamedHistogram> histograms = sample_histograms();
+      !histograms.empty()) {
+    out += ",\"histograms\":";
+    append_histograms_json(out, histograms, /*include_buckets=*/false);
   }
   out += "}\n";
   return out;

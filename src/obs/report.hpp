@@ -12,9 +12,9 @@
 //            "build":"Release","hw_backend":"perf|perf-software|null"},
 //    "cases":[{"name":...,"reps":[seconds...],"median_seconds":...,
 //              "iqr_seconds":...,"counters":{"ipc":...,...}}],
-//    "latency":{...}}   — optional: tail-latency percentiles (p50..p999)
-//                         recorded via obs/agg/latency_histogram.hpp;
-//                         absent when nothing was recorded
+//    "histograms":{...}} — optional: every non-empty obs::Histogram as
+//                          {count,sum,min,max,mean,p50..p999}; absent
+//                          when nothing was recorded
 //
 // The process-wide report is written by obs::finalize() (and therefore by
 // the atexit flush), so a bench that exits early still leaves its file.

@@ -7,7 +7,6 @@
 #include <unistd.h>
 
 #include "core/thread_safety.hpp"
-#include "obs/agg/latency_histogram.hpp"
 #include "obs/hw/hw_counters.hpp"
 #include "obs/hw/membw.hpp"
 #include "obs/json.hpp"
@@ -222,24 +221,12 @@ void append_metrics_section(std::string& out,
     first = false;
     append_kv(out, s.name.c_str(), s.gauge_value);
   }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const MetricSample& s : samples) {
-    if (s.kind != MetricSample::Kind::kHistogram) continue;
-    if (!first) out += ',';
-    first = false;
-    append_json_string(out, s.name);
-    out += ":{";
-    append_kv(out, "count", s.histogram.count);
-    out += ',';
-    append_kv(out, "mean", s.histogram.mean());
-    out += ',';
-    append_kv(out, "min", s.histogram.min);
-    out += ',';
-    append_kv(out, "max", s.histogram.max);
-    out += '}';
-  }
-  out += "}}";
+  // Histograms carry their buckets: the snapshot doubles as the heartbeat
+  // document a sharded parent merges exactly (bucket sums), so the wire
+  // form must hold the buckets, not just the percentiles.
+  out += "},\"histograms\":";
+  append_histograms_json(out, sample_histograms(), /*include_buckets=*/true);
+  out += '}';
   last = std::move(current);
 }
 
@@ -501,18 +488,6 @@ std::string snapshot_json() {
   append_workers_section(out, in_flight_workers());
   out += ',';
   append_metrics_section(out, b.last_counters);
-  {
-    // Tail-latency histograms, buckets included: the snapshot doubles as
-    // the heartbeat document a sharded parent merges exactly (bucket sums),
-    // so the wire form must carry the buckets, not just the percentiles.
-    // Absent — never an empty section — when nothing was recorded.
-    std::string latency;
-    agg::append_latency_section(latency, /*include_buckets=*/true);
-    if (latency != "{}") {
-      out += ",\"latency\":";
-      out += latency;
-    }
-  }
   {
     MutexLock section_lock(b.section_mutex);
     for (const auto& [key, fn] : b.sections) {

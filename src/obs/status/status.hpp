@@ -39,10 +39,11 @@ namespace ordo::obs::status {
 
 /// Layout version of the /stats and heartbeat documents; bumped whenever a
 /// field changes meaning so ordo_top and CI checkers can detect drift.
-/// v2: adds the "latency" section (tail-latency histograms with their
-/// merge-able buckets) and run.rate_tasks_per_second — the fields the
-/// sharded parent's fleet aggregation reads back from worker heartbeats.
-inline constexpr int kStatusSchemaVersion = 2;
+/// v3: metrics.histograms carries every histogram in the bucketed wire
+/// form (obs/metrics.hpp) — what the sharded parent's fleet aggregation
+/// reads back from worker heartbeats — and the top-level "latency" section
+/// is gone. run.rate_tasks_per_second is the fleet's pace signal.
+inline constexpr int kStatusSchemaVersion = 3;
 
 /// A subsystem section provider: appends one complete JSON value (object,
 /// array or scalar) to `out`. Must be callable from any thread and must not

@@ -63,6 +63,10 @@ ShardExit describe_exit(int wait_status) {
     // the parked restart configuration must not leak into the child) and
     // start this worker's own heartbeat.
     obs::status::stop();
+    // Start this worker's registry empty: what the parent recorded before
+    // the fork stays the parent's, so the post-waitpid fold adds only the
+    // workers' own samples instead of counting the parent's again.
+    obs::reset_metrics();
     // Re-point the inherited per-process outputs: N workers writing the
     // parent's ORDO_TRACE / ORDO_METRICS paths would clobber each other
     // (and the parent's own dump), so each gets the journal/heartbeat
@@ -223,7 +227,7 @@ StudyReport run_sharded_study(const std::vector<CorpusEntry>& corpus,
             shards, n, options.checkpoint_dir.c_str());
   // Fleet telemetry: every parent /stats snapshot polls the worker
   // heartbeats through the monitor — per-shard progress and liveness, a
-  // straggler verdict, and the bucket-exact merge of the workers' latency
+  // straggler verdict, and the bucket-exact merge of the workers'
   // histograms. The monitor outlives this call inside the section lambda
   // (late polls after end_run still see the final fleet state).
   auto fleet_monitor = std::make_shared<obs::agg::FleetMonitor>(
@@ -260,12 +264,14 @@ StudyReport run_sharded_study(const std::vector<CorpusEntry>& corpus,
     }
   }
 
-  // Fold the workers' final latency histograms (their last heartbeat
-  // snapshots, bucket-exact) into the parent's own registry: the closing
-  // /stats snapshot, ordo_metrics.json and BENCH report then carry
-  // fleet-wide tail percentiles, not the parent's empty ones.
-  for (const auto& [name, snapshot] : fleet_monitor->poll().merged_latency) {
-    obs::agg::latency(name).merge(snapshot);
+  // Fold the workers' final histograms (their last heartbeat snapshots,
+  // bucket-exact) into the parent's own registry: the closing /stats
+  // snapshot, ordo_metrics.json and BENCH report then carry the same
+  // fleet-wide histograms an unsharded run records, not the parent's empty
+  // ones.
+  for (const auto& [name, snapshot] :
+       fleet_monitor->poll().merged_histograms) {
+    obs::histogram(name).merge(snapshot);
   }
 
   // Deterministic merge: replay every shard journal and failure file into

@@ -6,9 +6,9 @@
 //     ├── suspend status consumers, fork N workers, resume consumers
 //     ├── register the "fleet" /stats section (obs/agg/fleet.hpp polls the
 //     │   worker heartbeats: progress, liveness, stragglers, merged
-//     │   latency histograms) and the workers' trace files as merge inputs
+//     │   histograms) and the workers' trace files as merge inputs
 //     ├── waitpid × N  (a crashed worker faults only its own slice)
-//     ├── fold the workers' final latency snapshots into its own registry
+//     ├── fold the workers' final histograms into its own registry
 //     └── merge: replay every shard journal + failure file in corpus
 //         order, synthesize StudyTaskFailure rows for a crashed worker's
 //         unfinished slice, write the merged study_journal.jsonl and

@@ -283,7 +283,7 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
       if (failure.timed_out) ORDO_COUNTER_ADD("pipeline.tasks.timeout", 1);
       // Failed tasks belong in the tail too: a sweep whose p99 is a string
       // of timeouts must not report the p99 of its successes.
-      ORDO_LATENCY_RECORD("task", failure.seconds);
+      ORDO_HISTOGRAM_RECORD("task", failure.seconds);
       obs::logf(obs::LogLevel::kProgress, "task %s %s after %.2fs: %s",
                 entry.name.c_str(),
                 failure.timed_out ? "timed out" : "failed", failure.seconds,
@@ -292,8 +292,7 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
     };
     try {
       MatrixStudyRows rows = run_matrix_study(entry, task_options);
-      ORDO_HISTOGRAM_RECORD("pipeline.task.seconds", watch.seconds());
-      ORDO_LATENCY_RECORD("task", watch.seconds());
+      ORDO_HISTOGRAM_RECORD("task", watch.seconds());
       slots[i] = std::move(rows);
       obs::status::set_phase("journal");
       if (journal) {
@@ -302,7 +301,7 @@ StudyReport run_study_pipeline(const std::vector<CorpusEntry>& corpus,
         // checkpoint-fsync contention shows up.
         obs::Stopwatch journal_watch;
         journal->append({static_cast<int>(i), *slots[i]});
-        ORDO_LATENCY_RECORD("phase.journal", journal_watch.seconds());
+        ORDO_HISTOGRAM_RECORD("phase.journal", journal_watch.seconds());
       }
       ORDO_COUNTER_ADD("pipeline.tasks.completed", 1);
       obs::status::task_finished(/*failed=*/false, /*timed_out=*/false,

@@ -15,7 +15,7 @@
 //       result files.
 //
 // Observability: `pipeline.tasks.{queued,completed,failed,timeout,resumed}`
-// counters, the `pipeline.task.seconds` histogram, the
+// counters, the `task` and `phase.journal` histograms, the
 // `pipeline.pool.occupancy` gauge, and `pipeline/task/<name>` spans (see
 // src/obs).
 #pragma once

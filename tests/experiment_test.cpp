@@ -79,6 +79,13 @@ TEST(FullStudy, PopulatesObservabilityMetrics) {
     EXPECT_TRUE(obs::has_metric("study." + name + ".seconds")) << name;
     EXPECT_TRUE(obs::has_metric("study." + name + ".max_thread_nnz")) << name;
     EXPECT_TRUE(obs::has_metric("study." + name + ".imbalance")) << name;
+    // A ratio in the shared histogram reads back unscaled: max/mean thread
+    // work is at least 1, and the median is reported.
+    const obs::Histogram::Snapshot imbalance =
+        obs::histogram("study." + name + ".imbalance").snapshot();
+    EXPECT_GE(imbalance.min, 1.0) << name;
+    EXPECT_GE(imbalance.percentile(0.5), imbalance.min) << name;
+    EXPECT_LE(imbalance.percentile(0.5), imbalance.max) << name;
     if (kind != OrderingKind::kOriginal) {
       EXPECT_TRUE(obs::has_metric("reorder." + name + ".seconds")) << name;
       EXPECT_GT(obs::histogram("reorder." + name + ".seconds")

@@ -324,8 +324,28 @@ TEST(StudyPipeline, PopulatesSchedulerMetrics) {
   EXPECT_EQ(obs::counter("pipeline.tasks.completed").value(),
             static_cast<std::int64_t>(corpus.size()));
   EXPECT_EQ(obs::counter("pipeline.tasks.failed").value(), 0);
-  EXPECT_EQ(obs::histogram("pipeline.task.seconds").snapshot().count,
+  EXPECT_EQ(obs::histogram("task").snapshot().count,
             static_cast<std::int64_t>(corpus.size()));
+}
+
+TEST(StudyPipeline, ResetMetricsZeroesTaskAndPhaseHistograms) {
+  const auto corpus = generate_corpus(tiny_corpus());
+  StudyOptions options;
+  options.jobs = 2;
+  ASSERT_TRUE(pipeline::run_study_pipeline(corpus, options).failures.empty());
+  ASSERT_GT(obs::histogram("task").snapshot().count, 0);
+  ASSERT_GT(obs::histogram("phase.reorder").snapshot().count, 0);
+
+  // Every histogram lives in the one registry reset_metrics() walks, so
+  // per-task and per-phase counts cannot leak into the next test.
+  obs::reset_metrics();
+  EXPECT_TRUE(obs::sample_histograms().empty());
+  for (const char* name : {"task", "phase.reorder", "phase.profile",
+                           "phase.features", "phase.model"}) {
+    const obs::Histogram::Snapshot s = obs::histogram(name).snapshot();
+    EXPECT_EQ(s.count, 0) << name;
+    EXPECT_EQ(s.sum, 0.0) << name;
+  }
 }
 #endif
 

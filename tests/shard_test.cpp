@@ -22,7 +22,6 @@
 
 #include "core/experiment.hpp"
 #include "corpus/stream.hpp"
-#include "obs/agg/latency_histogram.hpp"
 #include "obs/agg/trace_merge.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
@@ -289,8 +288,8 @@ TEST(Shard, WorkersSuffixTelemetryOutputsAndTracesStitch) {
   obs::set_trace_output_path(dir + "/trace.json");
   obs::set_metrics_output_path(dir + "/metrics.json");
   obs::agg::clear_trace_merge_inputs();
-  const std::int64_t tasks_before =
-      obs::agg::latency("task").snapshot().count;
+  [[maybe_unused]] const std::int64_t tasks_before =
+      obs::histogram("task").snapshot().count;
 
   StudyOptions options;
   options.shards = 2;
@@ -308,10 +307,14 @@ TEST(Shard, WorkersSuffixTelemetryOutputsAndTracesStitch) {
     const std::string suffix = ".shard" + std::to_string(k);
     ASSERT_TRUE(fs::exists(dir + "/trace.json" + suffix)) << k;
     ASSERT_TRUE(fs::exists(dir + "/metrics.json" + suffix)) << k;
-    // The worker's metrics dump carries the additive latency group.
+#if defined(ORDO_OBS_ENABLED)
+    // The worker's metrics dump carries its "task" histogram, buckets
+    // included (the recording macro compiles out with ORDO_OBS=OFF).
     const obs::JsonValue metrics =
         obs::parse_json(slurp(dir + "/metrics.json" + suffix));
-    EXPECT_NE(metrics.find("latency"), nullptr) << k;
+    EXPECT_NE(metrics.at("histograms").at("task").find("buckets"), nullptr)
+        << k;
+#endif
   }
 
   // The parent registered the shard traces as merge inputs: the stitched
@@ -341,10 +344,12 @@ TEST(Shard, WorkersSuffixTelemetryOutputsAndTracesStitch) {
                   span_pids.end());
   EXPECT_EQ(span_pids.size(), 2u);  // one distinct pid per shard
 
+#if defined(ORDO_OBS_ENABLED)
   // The post-waitpid fold: both workers' final heartbeat histograms landed
   // in the parent's registry, one "task" sample per computed matrix.
-  EXPECT_EQ(obs::agg::latency("task").snapshot().count,
+  EXPECT_EQ(obs::histogram("task").snapshot().count,
             tasks_before + static_cast<std::int64_t>(corpus.size()));
+#endif
 
   obs::set_tracing_enabled(false);
   obs::set_trace_output_path(std::string());

@@ -21,8 +21,8 @@
 #include <unistd.h>
 #include <vector>
 
-#include "obs/agg/latency_histogram.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "obs/status/listener.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/task_pool.hpp"
@@ -117,15 +117,18 @@ TEST(StatusTest, RateAbsentNotZeroBeforeFirstCompletion) {
 
 TEST(StatusTest, SnapshotCarriesBucketCompleteLatencySection) {
   status::begin_run(/*total=*/1, /*workers=*/1, /*resumed=*/0);
-  obs::agg::latency("test.status.latency").record_ns(5'000);
+  obs::histogram("test.status.latency").record(5e-6);
 
   const obs::JsonValue doc = obs::parse_json(status::snapshot_json());
-  const obs::JsonValue* latency = doc.find("latency");
-  ASSERT_NE(latency, nullptr);
-  const obs::JsonValue* entry = latency->find("test.status.latency");
+  // One histogram group: the pre-v3 top-level "latency" section is gone.
+  EXPECT_EQ(doc.find("latency"), nullptr);
+  const obs::JsonValue* entry =
+      doc.at("metrics").at("histograms").find("test.status.latency");
   ASSERT_NE(entry, nullptr);
   EXPECT_GE(entry->at("count").as_int(), 1);
   EXPECT_NE(entry->find("p99"), nullptr);
+  EXPECT_NE(entry->find("min"), nullptr);
+  EXPECT_NE(entry->find("max"), nullptr);
   // The snapshot doubles as the shard heartbeat wire form, so it must carry
   // the bucket detail the parent's exact cross-shard merge needs.
   EXPECT_NE(entry->find("buckets"), nullptr);

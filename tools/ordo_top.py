@@ -13,13 +13,14 @@ tally, EWMA ETA, per-worker in-flight matrices with their current phase
 (reorder/profile/features/spmv/model/journal) and deadline margin, plan
 cache hit rate, the ordering selector's tally when the study runs with
 --auto-order (decisions, oracle hit rate, mean regret, per-ordering
-picks), tail-latency percentiles (p50/p90/p99/p999 per task and phase),
+picks), tail-latency percentiles (p50/p90/p99/p999 of the "task" and
+"phase.*" histograms),
 and — when the study runs with --hw — the latest counter window
 (IPC, LLC miss rate, achieved vs peak GB/s). During a sharded run
 (run_study --shards N) the parent's snapshot carries a "fleet" section:
 one row per shard worker with LIVE/STALE/DEAD/DONE state, progress,
 pace, and straggler flags, plus the exact bucket-merged fleet-wide
-latency percentiles.
+task and phase percentiles.
 
 Modes:
   (default)     full-screen curses refresh every --interval seconds;
@@ -43,6 +44,7 @@ POLL_TIMEOUT_SECONDS = 5.0
 PHASES = ("reorder", "profile", "features", "spmv", "model", "journal")
 SHARD_STATES = ("unknown", "live", "stale", "dead", "done")
 PERCENTILE_KEYS = ("p50", "p90", "p99", "p999")
+HISTOGRAM_VALUE_KEYS = ("sum", "min", "max", "mean") + PERCENTILE_KEYS
 
 
 def fetch(args):
@@ -67,8 +69,8 @@ def validate(snap):
     _expect(errors, isinstance(snap, dict), "snapshot is not a JSON object")
     if not isinstance(snap, dict):
         return errors
-    _expect(errors, snap.get("schema_version") == 2,
-            f"schema_version != 2 (got {snap.get('schema_version')!r})")
+    _expect(errors, snap.get("schema_version") == 3,
+            f"schema_version != 3 (got {snap.get('schema_version')!r})")
     for key, kind in (("pid", int), ("uptime_seconds", (int, float)),
                       ("run", dict), ("workers", list), ("metrics", dict)):
         _expect(errors, isinstance(snap.get(key), kind),
@@ -123,6 +125,13 @@ def validate(snap):
             _expect(errors, isinstance(entry, dict) and "value" in entry
                     and "delta" in entry,
                     f"metrics.counters[{name!r}] lacks value/delta")
+        # A histogram appears only once something was recorded into it
+        # (absent-not-zero, like the EWMA fields), buckets included: the
+        # snapshot is also the heartbeat a sharded parent merges from.
+        for name, entry in (metrics.get("histograms") or {}).items():
+            errors.extend(validate_histogram_entry(
+                f"metrics.histograms[{name!r}]", entry,
+                require_buckets=True))
 
     # hw is optional (only with a counter session), but when present the
     # derived fields follow the same absent-not-zero convention.
@@ -148,17 +157,6 @@ def validate(snap):
             _expect(errors, isinstance(sel.get("picks"), dict),
                     "select.picks is not an object")
 
-    # latency (v2) is optional — a histogram appears only once something
-    # was recorded into it (absent-not-zero, like the EWMA fields).
-    latency = snap.get("latency")
-    if latency is not None:
-        _expect(errors, isinstance(latency, dict),
-                "latency present but not an object")
-        if isinstance(latency, dict):
-            for name, entry in latency.items():
-                errors.extend(validate_latency_entry(f"latency[{name!r}]",
-                                                     entry))
-
     # fleet is optional (only a sharded parent registers it).
     fleet = snap.get("fleet")
     if fleet is not None:
@@ -166,34 +164,37 @@ def validate(snap):
     return errors
 
 
-def validate_latency_entry(label, entry):
-    """Violations in one serialized latency histogram snapshot."""
+def validate_histogram_entry(label, entry, require_buckets):
+    """Violations in one serialized obs::Histogram snapshot. Bucket pairs,
+    when present, must sum to count; `require_buckets` marks the heartbeat
+    form, which must carry them."""
     errors = []
     _expect(errors, isinstance(entry, dict), f"{label} is not an object")
     if not isinstance(entry, dict):
         return errors
-    for key in ("count", "sum_ns", "mean_seconds") + PERCENTILE_KEYS:
+    for key in ("count",) + HISTOGRAM_VALUE_KEYS:
         _expect(errors, isinstance(entry.get(key), (int, float)),
                 f"{label}.{key} missing or mistyped")
     _expect(errors, isinstance(entry.get("count"), int)
             and entry.get("count", 0) > 0,
             f"{label}.count is not a positive integer (empty histograms "
             f"must be absent, not zero)")
-    quantiles = [entry.get(key) for key in PERCENTILE_KEYS]
-    if all(isinstance(q, (int, float)) for q in quantiles):
-        _expect(errors, all(a <= b for a, b in zip(quantiles, quantiles[1:])),
-                f"{label} percentiles are not monotone "
-                f"(p50..p999 = {quantiles})")
-    if "buckets" in entry:
-        buckets = entry["buckets"]
-        _expect(errors, isinstance(buckets, list)
-                and all(isinstance(p, list) and len(p) == 2 for p in buckets),
-                f"{label}.buckets is not a list of [index, count] pairs")
-        if isinstance(buckets, list) \
-                and all(isinstance(p, list) and len(p) == 2 for p in buckets):
-            _expect(errors,
-                    sum(p[1] for p in buckets) == entry.get("count"),
-                    f"{label}.buckets do not sum to count")
+    ordered = [entry.get(key) for key in ("min",) + PERCENTILE_KEYS
+               + ("max",)]
+    if all(isinstance(v, (int, float)) for v in ordered):
+        _expect(errors, all(a <= b for a, b in zip(ordered, ordered[1:])),
+                f"{label} is not ordered min <= p50 <= ... <= p999 <= max "
+                f"({ordered})")
+    pairs = entry.get("buckets")
+    if pairs is None:
+        _expect(errors, not require_buckets, f"{label}.buckets missing")
+    elif not (isinstance(pairs, list)
+              and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+        errors.append(f"{label}.buckets is not a list of [index, count] "
+                      f"pairs")
+    else:
+        _expect(errors, sum(p[1] for p in pairs) == entry.get("count"),
+                f"{label}.buckets do not sum to count")
     return errors
 
 
@@ -203,8 +204,8 @@ def validate_fleet(fleet):
     _expect(errors, isinstance(fleet, dict), "fleet is not an object")
     if not isinstance(fleet, dict):
         return errors
-    _expect(errors, fleet.get("schema_version") == 1,
-            f"fleet.schema_version != 1 "
+    _expect(errors, fleet.get("schema_version") == 2,
+            f"fleet.schema_version != 2 "
             f"(got {fleet.get('schema_version')!r})")
     _expect(errors, isinstance(fleet.get("shards"), list),
             "fleet.shards missing or not a list")
@@ -238,18 +239,19 @@ def validate_fleet(fleet):
             flagged += 1
             _expect(errors, isinstance(shard.get("straggler_reason"), str),
                     f"{label}.straggler set without straggler_reason")
-        for name, entry in (shard.get("latency") or {}).items():
-            errors.extend(
-                validate_latency_entry(f"{label}.latency[{name!r}]", entry))
+        for name, entry in (shard.get("histograms") or {}).items():
+            errors.extend(validate_histogram_entry(
+                f"{label}.histograms[{name!r}]", entry,
+                require_buckets=False))
     if isinstance(stragglers, int) and isinstance(fleet.get("shards"), list):
         _expect(errors, flagged == stragglers,
                 f"fleet.stragglers ({stragglers}) != flagged shard rows "
                 f"({flagged})")
-    _expect(errors, isinstance(fleet.get("latency"), dict),
-            "fleet.latency (merged histograms) missing or not an object")
-    for name, entry in (fleet.get("latency") or {}).items():
-        errors.extend(
-            validate_latency_entry(f"fleet.latency[{name!r}]", entry))
+    _expect(errors, isinstance(fleet.get("histograms"), dict),
+            "fleet.histograms (merged histograms) missing or not an object")
+    for name, entry in (fleet.get("histograms") or {}).items():
+        errors.extend(validate_histogram_entry(
+            f"fleet.histograms[{name!r}]", entry, require_buckets=False))
     return errors
 
 
@@ -277,14 +279,18 @@ def format_latency(seconds):
     return f"{seconds * 1e6:.0f}us"
 
 
-def latency_lines(latency, header):
-    """Lines for one latency section ({name: {p50..p999, count}, ...})."""
-    if not isinstance(latency, dict) or not latency:
+def latency_lines(histograms, header):
+    """Lines for the task and phase.* entries of one histograms section
+    ({name: {count, p50..p999, ...}, ...}); their values are seconds."""
+    if not isinstance(histograms, dict):
+        return []
+    latency = {name: entry for name, entry in histograms.items()
+               if (name == "task" or name.startswith("phase."))
+               and isinstance(entry, dict)}
+    if not latency:
         return []
     lines = [header]
     for name, entry in sorted(latency.items()):
-        if not isinstance(entry, dict):
-            continue
         quantiles = "  ".join(
             f"{key} {format_latency(entry[key])}"
             for key in PERCENTILE_KEYS if key in entry)
@@ -319,7 +325,7 @@ def fleet_lines(fleet):
         else:
             row += "  (no heartbeat yet)"
         lines.append(row)
-    lines.extend(latency_lines(fleet.get("latency"),
+    lines.extend(latency_lines(fleet.get("histograms"),
                                "fleet latency (bucket-merged):"))
     return lines
 
@@ -385,7 +391,8 @@ def render(snap, width=78):
                          f"{hw['peak_gbps']:.1f} GB/s peak")
         lines.append("  ".join(parts))
 
-    lines.extend(latency_lines(snap.get("latency"), "latency:"))
+    lines.extend(latency_lines((snap.get("metrics") or {}).get("histograms"),
+                               "latency:"))
     lines.extend(fleet_lines(snap.get("fleet")))
 
     workers = snap.get("workers") or []
@@ -482,7 +489,7 @@ def main():
                     fleet_note = (f", fleet of "
                                   f"{len(fleet.get('shards') or [])} shards")
                 print(f"ordo_top --check: snapshot valid "
-                      f"(schema_version 2, {run.get('completed', 0)}/"
+                      f"(schema_version 3, {run.get('completed', 0)}/"
                       f"{run.get('total', 0)} completed{fleet_note})")
             return 1 if errors else 0
         if args.once:
