@@ -1,30 +1,18 @@
 #include "partition/graph_partitioner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <queue>
 
 #include "check/check.hpp"
 #include "obs/obs.hpp"
 #include "partition/bisection_memo.hpp"
 #include "partition/coarsening.hpp"
 #include "partition/fm_refinement.hpp"
+#include "partition/gain_heap.hpp"
 #include "partition/initial_partition.hpp"
 
 namespace ordo {
 namespace {
-
-BisectionBalance make_balance(const Graph& g, double target_fraction,
-                              double tolerance) {
-  const double total = static_cast<double>(g.total_vertex_weight());
-  BisectionBalance balance;
-  balance.min_weight0 = static_cast<std::int64_t>(
-      std::floor(total * target_fraction * (1.0 - tolerance)));
-  balance.max_weight0 = static_cast<std::int64_t>(
-      std::ceil(total * target_fraction * (1.0 + tolerance)));
-  return balance;
-}
 
 // Extracts the subgraph induced by the vertices with part[v] == which, along
 // with the mapping from subgraph ids back to the parent's ids.
@@ -97,8 +85,8 @@ void recursive_bisect(const Graph& g, const PartitionOptions& options,
                       BisectionMemo::Path& path) {
   if (num_parts <= 1 || g.num_vertices() == 0) {
     for (index_t v = 0; v < g.num_vertices(); ++v) {
-      out_part[static_cast<std::size_t>(to_parent[static_cast<std::size_t>(v)])] =
-          first_part;
+      out_part[static_cast<std::size_t>(
+          to_parent[static_cast<std::size_t>(v)])] = first_part;
     }
     return;
   }
@@ -192,15 +180,15 @@ PartitionResult bisect_graph(const Graph& g, double target_fraction,
   // Initial bisection on the coarsest graph, refined in place.
   std::vector<index_t> part =
       greedy_graph_growing_bisection(*current, target_fraction, seed);
-  fm_refine_bisection(
-      *current, part,
-      make_balance(*current, target_fraction, options.imbalance_tolerance),
-      options.refine_passes);
+  fm_refine_bisection(*current, part,
+                      bisection_balance(current->total_vertex_weight(),
+                                        target_fraction,
+                                        options.imbalance_tolerance),
+                      options.refine_passes);
 
   // Uncoarsening: project the partition to each finer level and refine.
   for (std::size_t level = hierarchy.size(); level > 0; --level) {
-    const Graph& fine =
-        level >= 2 ? hierarchy[level - 2].graph : g;
+    const Graph& fine = level >= 2 ? hierarchy[level - 2].graph : g;
     const std::vector<index_t>& fine_to_coarse =
         hierarchy[level - 1].fine_to_coarse;
     std::vector<index_t> fine_part(
@@ -211,10 +199,11 @@ PartitionResult bisect_graph(const Graph& g, double target_fraction,
               fine_to_coarse[static_cast<std::size_t>(v)])];
     }
     part = std::move(fine_part);
-    fm_refine_bisection(
-        fine, part,
-        make_balance(fine, target_fraction, options.imbalance_tolerance),
-        options.refine_passes);
+    fm_refine_bisection(fine, part,
+                        bisection_balance(fine.total_vertex_weight(),
+                                          target_fraction,
+                                          options.imbalance_tolerance),
+                        options.refine_passes);
   }
 
   repair_degenerate_bisection(g, part);
@@ -275,30 +264,28 @@ std::vector<bool> vertex_separator_from_bisection(
   }
 
   // Greedy vertex cover of the cut edges: repeatedly add the vertex covering
-  // the most uncovered cut edges. A lazy max-heap skips entries whose
-  // recorded degree has gone stale.
-  std::priority_queue<std::pair<index_t, index_t>> heap;
+  // the most uncovered cut edges, higher id first on ties. Degrees only
+  // fall, and a vertex leaves the heap when its degree reaches zero.
+  GainHeap<index_t> heap;
+  heap.reset(n);
   for (index_t v = 0; v < n; ++v) {
     if (cut_degree[static_cast<std::size_t>(v)] > 0) {
-      heap.emplace(cut_degree[static_cast<std::size_t>(v)], v);
+      heap.push(v, cut_degree[static_cast<std::size_t>(v)]);
     }
   }
   while (!heap.empty()) {
-    const auto [degree, best] = heap.top();
+    const index_t best = heap.top();
     heap.pop();
-    if (in_separator[static_cast<std::size_t>(best)] ||
-        degree != cut_degree[static_cast<std::size_t>(best)] ||
-        cut_degree[static_cast<std::size_t>(best)] == 0) {
-      continue;
-    }
     in_separator[static_cast<std::size_t>(best)] = true;
     for (index_t u : g.neighbors(best)) {
       if (part[static_cast<std::size_t>(u)] !=
               part[static_cast<std::size_t>(best)] &&
           !in_separator[static_cast<std::size_t>(u)]) {
-        cut_degree[static_cast<std::size_t>(u)]--;
-        if (cut_degree[static_cast<std::size_t>(u)] > 0) {
-          heap.emplace(cut_degree[static_cast<std::size_t>(u)], u);
+        const index_t degree = --cut_degree[static_cast<std::size_t>(u)];
+        if (degree > 0) {
+          heap.update(u, degree);
+        } else if (heap.contains(u)) {
+          heap.erase(u);
         }
       }
     }

@@ -1,15 +1,13 @@
 #include "partition/hypergraph_partitioner.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <queue>
 #include <random>
 
 #include "check/check.hpp"
 #include "obs/obs.hpp"
+#include "partition/fm_refinement.hpp"
 
 namespace ordo {
 namespace {
@@ -116,21 +114,6 @@ HypergraphCoarseLevel coarsen_hypergraph_once(const Hypergraph& h,
 
 namespace {
 
-struct HgBalance {
-  std::int64_t min_weight0 = 0;
-  std::int64_t max_weight0 = 0;
-};
-
-HgBalance make_balance(const Hypergraph& h, double target_fraction,
-                       double tolerance) {
-  const double total = static_cast<double>(h.total_vertex_weight());
-  return HgBalance{
-      static_cast<std::int64_t>(
-          std::floor(total * target_fraction * (1.0 - tolerance))),
-      static_cast<std::int64_t>(
-          std::ceil(total * target_fraction * (1.0 + tolerance)))};
-}
-
 // Grows part 0 by hypergraph BFS from `start` until it reaches the target
 // weight, restarting from an unassigned vertex when the frontier empties.
 std::vector<index_t> grow_bisection(const Hypergraph& h, index_t start,
@@ -173,162 +156,6 @@ std::vector<index_t> grow_bisection(const Hypergraph& h, index_t start,
     }
   }
   return part;
-}
-
-// One FM pass under the cut-net metric. pins_in[e][p] tracks how many pins
-// of net e lie in part p. Only boundary vertices (pins of cut nets) are
-// seeded into the gain heap, and gains are maintained with exact delta
-// updates on each move — a net's pins are only revisited when its pin counts
-// cross a critical value (0, 1 or 2 on either side), which is the standard
-// FM trick that keeps a pass near-linear in the number of pins.
-std::int64_t hypergraph_fm_pass(const Hypergraph& h,
-                                std::vector<index_t>& part,
-                                const HgBalance& balance) {
-  const index_t n = h.num_vertices();
-  const index_t num_nets = h.num_nets();
-  std::vector<std::array<index_t, 2>> pins_in(
-      static_cast<std::size_t>(num_nets), {0, 0});
-  for (index_t e = 0; e < num_nets; ++e) {
-    for (index_t pin : h.net_pins(e)) {
-      pins_in[static_cast<std::size_t>(e)]
-             [static_cast<std::size_t>(part[static_cast<std::size_t>(pin)])]++;
-    }
-  }
-
-  // Cut-net gain of moving v from side s to 1-s:
-  //   +w(e) for nets where v is the last pin on side s (net becomes uncut),
-  //   -w(e) for nets fully on side s with >1 pins (net becomes cut).
-  auto move_gain = [&](index_t v) {
-    const index_t s = part[static_cast<std::size_t>(v)];
-    std::int64_t gain = 0;
-    for (index_t e : h.vertex_nets(v)) {
-      const auto& counts = pins_in[static_cast<std::size_t>(e)];
-      const index_t same = counts[static_cast<std::size_t>(s)];
-      const index_t other = counts[static_cast<std::size_t>(1 - s)];
-      if (same == 1 && other >= 1) gain += h.net_weight(e);
-      if (other == 0 && same >= 2) gain -= h.net_weight(e);
-    }
-    return gain;
-  };
-
-  std::vector<std::int64_t> gain(static_cast<std::size_t>(n));
-  std::vector<bool> locked(static_cast<std::size_t>(n), false);
-  std::vector<bool> queued(static_cast<std::size_t>(n), false);
-  std::priority_queue<std::pair<std::int64_t, index_t>> heap;
-  auto enqueue = [&](index_t v) {
-    if (queued[static_cast<std::size_t>(v)] ||
-        locked[static_cast<std::size_t>(v)]) {
-      return;
-    }
-    gain[static_cast<std::size_t>(v)] = move_gain(v);
-    queued[static_cast<std::size_t>(v)] = true;
-    heap.emplace(gain[static_cast<std::size_t>(v)], v);
-  };
-  for (index_t e = 0; e < num_nets; ++e) {
-    const auto& counts = pins_in[static_cast<std::size_t>(e)];
-    if (counts[0] > 0 && counts[1] > 0) {
-      for (index_t pin : h.net_pins(e)) enqueue(pin);
-    }
-  }
-
-  std::int64_t weight0 = 0;
-  for (index_t v = 0; v < n; ++v) {
-    if (part[static_cast<std::size_t>(v)] == 0) weight0 += h.vertex_weight(v);
-  }
-
-  std::vector<index_t> moves;
-  std::int64_t cumulative = 0, best_cumulative = 0;
-  std::size_t best_prefix = 0;
-  std::vector<std::pair<std::int64_t, index_t>> deferred;
-  // Abort the pass after a long run of non-improving moves (see the graph
-  // FM for rationale).
-  const std::size_t stall_limit = 64 + static_cast<std::size_t>(n) / 32;
-  while (!heap.empty()) {
-    if (moves.size() - best_prefix > stall_limit) break;
-    const auto [g_top, v] = heap.top();
-    heap.pop();
-    if (locked[static_cast<std::size_t>(v)] ||
-        g_top != gain[static_cast<std::size_t>(v)]) {
-      continue;  // stale entry
-    }
-    const index_t from = part[static_cast<std::size_t>(v)];
-    const std::int64_t new_weight0 =
-        from == 0 ? weight0 - h.vertex_weight(v) : weight0 + h.vertex_weight(v);
-    if (new_weight0 < balance.min_weight0 ||
-        new_weight0 > balance.max_weight0) {
-      deferred.emplace_back(g_top, v);
-      continue;
-    }
-
-    part[static_cast<std::size_t>(v)] = 1 - from;
-    weight0 = new_weight0;
-    locked[static_cast<std::size_t>(v)] = true;
-    cumulative += g_top;
-    moves.push_back(v);
-    if (cumulative > best_cumulative) {
-      best_cumulative = cumulative;
-      best_prefix = moves.size();
-    }
-
-    // Vertices that newly reach the boundary are enqueued only after every
-    // net of v has had its counts updated, so their full gain is computed
-    // against the post-move state.
-    std::vector<index_t> newly_boundary;
-    for (index_t e : h.vertex_nets(v)) {
-      auto& counts = pins_in[static_cast<std::size_t>(e)];
-      // Pin counts *before* the move; v still counts toward `from`.
-      const index_t f = counts[static_cast<std::size_t>(from)];
-      const index_t t = counts[static_cast<std::size_t>(1 - from)];
-      const index_t w = h.net_weight(e);
-      // Delta rules for the cut-net gain (derived from the gain definition
-      // above): a pin's gain only changes when the net's counts cross a
-      // critical value.
-      if (f == 1 || f == 2 || t == 0 || t == 1) {
-        for (index_t u : h.net_pins(e)) {
-          if (u == v || locked[static_cast<std::size_t>(u)]) continue;
-          if (!queued[static_cast<std::size_t>(u)]) {
-            newly_boundary.push_back(u);
-            continue;
-          }
-          std::int64_t delta = 0;
-          if (part[static_cast<std::size_t>(u)] == from) {
-            if (f == 2) delta += w;  // u becomes the last `from` pin
-            if (t == 0) delta += w;  // e is no longer uncut-on-`from`
-          } else {
-            if (f == 1) delta -= w;  // e becomes uncut-on-`to`
-            if (t == 1) delta -= w;  // u is no longer the last `to` pin
-          }
-          if (delta != 0) {
-            gain[static_cast<std::size_t>(u)] += delta;
-            heap.emplace(gain[static_cast<std::size_t>(u)], u);
-          }
-        }
-      }
-      counts[static_cast<std::size_t>(from)]--;
-      counts[static_cast<std::size_t>(1 - from)]++;
-    }
-    for (index_t u : newly_boundary) enqueue(u);
-    for (const auto& entry : deferred) heap.push(entry);
-    deferred.clear();
-  }
-
-  for (std::size_t k = moves.size(); k > best_prefix; --k) {
-    const index_t v = moves[k - 1];
-    part[static_cast<std::size_t>(v)] = 1 - part[static_cast<std::size_t>(v)];
-  }
-  return best_cumulative;
-}
-
-std::int64_t hypergraph_fm_refine(const Hypergraph& h,
-                                  std::vector<index_t>& part,
-                                  const HgBalance& balance, int max_passes) {
-  std::int64_t total = 0;
-  for (int pass = 0; pass < max_passes; ++pass) {
-    const std::int64_t improvement = hypergraph_fm_pass(h, part, balance);
-    total += improvement;
-    if (improvement <= 0) break;
-  }
-  return total;
 }
 
 struct HgSubgraph {
@@ -438,15 +265,16 @@ PartitionResult bisect_hypergraph(const Hypergraph& h, double target_fraction,
       0.5);
   std::mt19937_64 rng(seed);
   std::uniform_int_distribution<index_t> dist(0, current->num_vertices() - 1);
-  std::vector<index_t> part = grow_bisection(*current, dist(rng), target_weight);
-  hypergraph_fm_refine(
-      *current, part,
-      make_balance(*current, target_fraction, options.imbalance_tolerance),
-      options.refine_passes);
+  std::vector<index_t> part =
+      grow_bisection(*current, dist(rng), target_weight);
+  fm_refine_bisection(*current, part,
+                      bisection_balance(current->total_vertex_weight(),
+                                        target_fraction,
+                                        options.imbalance_tolerance),
+                      options.refine_passes);
 
   for (std::size_t level = hierarchy.size(); level > 0; --level) {
-    const Hypergraph& fine =
-        level >= 2 ? hierarchy[level - 2].hypergraph : h;
+    const Hypergraph& fine = level >= 2 ? hierarchy[level - 2].hypergraph : h;
     const std::vector<index_t>& fine_to_coarse =
         hierarchy[level - 1].fine_to_coarse;
     std::vector<index_t> fine_part(
@@ -456,10 +284,11 @@ PartitionResult bisect_hypergraph(const Hypergraph& h, double target_fraction,
           fine_to_coarse[static_cast<std::size_t>(v)])];
     }
     part = std::move(fine_part);
-    hypergraph_fm_refine(
-        fine, part,
-        make_balance(fine, target_fraction, options.imbalance_tolerance),
-        options.refine_passes);
+    fm_refine_bisection(fine, part,
+                        bisection_balance(fine.total_vertex_weight(),
+                                          target_fraction,
+                                          options.imbalance_tolerance),
+                        options.refine_passes);
   }
 
   PartitionResult result;

@@ -137,14 +137,15 @@ CorpusOptions golden_corpus() {
 constexpr std::uint64_t kGoldenPermutationDigest = 0xb7a9e48cb0f2180dULL;
 constexpr std::uint64_t kGoldenResultDigest = 0xd291d99bc8d5c32eULL;
 
-// Every permutation the study computes: the six arch-independent orderings
-// (Original included) and GP at each distinct core count, in machine order,
-// sharing one bisection tree as run_matrix_study does.
-TEST(GoldenStudy, PermutationsMatchReference) {
+// Digest of every permutation the study computes for `kinds` over `corpus`:
+// arch-independent orderings once, GP at each distinct core count, in
+// machine order, sharing one bisection tree as run_matrix_study does.
+std::uint64_t permutation_digest(const CorpusOptions& corpus,
+                                 const std::vector<OrderingKind>& kinds) {
   const ReorderOptions defaults = StudyOptions().reorder;
   Fnv1a digest;
-  for (const CorpusEntry& entry : generate_corpus(golden_corpus())) {
-    for (OrderingKind kind : study_orderings()) {
+  for (const CorpusEntry& entry : generate_corpus(corpus)) {
+    for (OrderingKind kind : kinds) {
       std::vector<Ordering> orderings;
       if (kind != OrderingKind::kGp) {
         orderings.push_back(compute_ordering(entry.matrix, kind, defaults));
@@ -170,8 +171,31 @@ TEST(GoldenStudy, PermutationsMatchReference) {
       }
     }
   }
-  EXPECT_EQ(digest.value(), kGoldenPermutationDigest)
-      << std::hex << "0x" << digest.value();
+  return digest.value();
+}
+
+// Every permutation the study computes: the six arch-independent orderings
+// (Original included) and GP at each distinct core count.
+TEST(GoldenStudy, PermutationsMatchReference) {
+  const std::uint64_t digest =
+      permutation_digest(golden_corpus(), study_orderings());
+  EXPECT_EQ(digest, kGoldenPermutationDigest) << std::hex << "0x" << digest;
+}
+
+// The partitioner orderings on a corpus large enough that FM passes hit
+// their stall limit and the balance window rejects moves (at the golden
+// corpus's scale 0.05 most bisections refine only a few dozen vertices).
+// Recorded from the partitioners as they stood before GP, ND and HP shared
+// one FM core.
+constexpr std::uint64_t kGoldenPartitionerDigest = 0x134aca932f337fe5ULL;
+
+TEST(GoldenStudy, PartitionerPermutationsMatchReferenceAtStallScale) {
+  CorpusOptions corpus;
+  corpus.count = 12;
+  corpus.scale = 0.15;
+  const std::uint64_t digest = permutation_digest(
+      corpus, {OrderingKind::kHp, OrderingKind::kNd, OrderingKind::kGp});
+  EXPECT_EQ(digest, kGoldenPartitionerDigest) << std::hex << "0x" << digest;
 }
 
 // The integer columns of all 16 (machine, kernel) tables, on the sequential
