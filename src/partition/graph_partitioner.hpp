@@ -5,7 +5,8 @@
 // at every level while projecting back up. k-way partitions are produced by
 // recursive bisection with proportional weight targets, so k need not be a
 // power of two (the study partitions into 16, 32, 48, 64, 72 or 128 parts to
-// match core counts).
+// match core counts). The hypergraph partitioner runs the same driver
+// (partition/multilevel.hpp) with its own steps.
 #pragma once
 
 #include "graph/graph.hpp"

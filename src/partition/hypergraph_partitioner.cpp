@@ -7,7 +7,7 @@
 
 #include "check/check.hpp"
 #include "obs/obs.hpp"
-#include "partition/fm_refinement.hpp"
+#include "partition/multilevel.hpp"
 
 namespace ordo {
 namespace {
@@ -112,13 +112,20 @@ HypergraphCoarseLevel coarsen_hypergraph_once(const Hypergraph& h,
   return level;
 }
 
-namespace {
+namespace multilevel {
 
-// Grows part 0 by hypergraph BFS from `start` until it reaches the target
-// weight, restarting from an unassigned vertex when the frontier empties.
-std::vector<index_t> grow_bisection(const Hypergraph& h, index_t start,
-                                    std::int64_t target_weight) {
+// Grows part 0 by hypergraph BFS from a seeded random start vertex until it
+// reaches the target weight, restarting from an unassigned vertex when the
+// frontier empties.
+std::vector<index_t> initial_bisection(const Hypergraph& h,
+                                       double target_fraction,
+                                       std::uint64_t seed) {
   const index_t n = h.num_vertices();
+  const std::int64_t target_weight = static_cast<std::int64_t>(
+      static_cast<double>(h.total_vertex_weight()) * target_fraction + 0.5);
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<index_t> dist(0, n - 1);
+  const index_t start = dist(rng);
   std::vector<index_t> part(static_cast<std::size_t>(n), 1);
   std::vector<bool> queued(static_cast<std::size_t>(n), false);
   std::queue<index_t> frontier;
@@ -158,15 +165,10 @@ std::vector<index_t> grow_bisection(const Hypergraph& h, index_t start,
   return part;
 }
 
-struct HgSubgraph {
-  Hypergraph hypergraph;
-  std::vector<index_t> to_parent;
-};
-
-HgSubgraph induced_sub_hypergraph(const Hypergraph& h,
-                                  const std::vector<index_t>& part,
-                                  index_t which) {
-  HgSubgraph sub;
+Induced<Hypergraph> induced_substructure(const Hypergraph& h,
+                                         const std::vector<index_t>& part,
+                                         index_t which) {
+  Induced<Hypergraph> sub;
   std::vector<index_t> to_sub(static_cast<std::size_t>(h.num_vertices()), -1);
   std::vector<index_t> vweights;
   for (index_t v = 0; v < h.num_vertices(); ++v) {
@@ -193,124 +195,31 @@ HgSubgraph induced_sub_hypergraph(const Hypergraph& h,
       net_weights.push_back(h.net_weight(e));
     }
   }
-  sub.hypergraph = Hypergraph(static_cast<index_t>(sub.to_parent.size()),
-                              std::move(net_ptr), std::move(pins),
-                              std::move(vweights), std::move(net_weights));
+  sub.structure = Hypergraph(static_cast<index_t>(sub.to_parent.size()),
+                             std::move(net_ptr), std::move(pins),
+                             std::move(vweights), std::move(net_weights));
   return sub;
 }
 
-void recursive_bisect_hg(const Hypergraph& h, const PartitionOptions& options,
-                         index_t num_parts, index_t first_part,
-                         const std::vector<index_t>& to_parent,
-                         std::vector<index_t>& out_part, std::uint64_t seed) {
-  if (num_parts <= 1 || h.num_vertices() == 0) {
-    for (index_t v = 0; v < h.num_vertices(); ++v) {
-      out_part[static_cast<std::size_t>(
-          to_parent[static_cast<std::size_t>(v)])] = first_part;
-    }
-    return;
-  }
-  poll_cancelled(options.cancel, "partition_hypergraph");
-  const index_t left_parts = num_parts / 2;
-  const index_t right_parts = num_parts - left_parts;
-  const double target_fraction =
-      static_cast<double>(left_parts) / static_cast<double>(num_parts);
-
-  PartitionOptions bisect_options = options;
-  bisect_options.seed = seed;
-  const PartitionResult bisection =
-      bisect_hypergraph(h, target_fraction, bisect_options);
-
-  const HgSubgraph left = induced_sub_hypergraph(h, bisection.part, 0);
-  const HgSubgraph right = induced_sub_hypergraph(h, bisection.part, 1);
-  std::vector<index_t> left_map(left.to_parent.size());
-  for (std::size_t i = 0; i < left.to_parent.size(); ++i) {
-    left_map[i] = to_parent[static_cast<std::size_t>(left.to_parent[i])];
-  }
-  std::vector<index_t> right_map(right.to_parent.size());
-  for (std::size_t i = 0; i < right.to_parent.size(); ++i) {
-    right_map[i] = to_parent[static_cast<std::size_t>(right.to_parent[i])];
-  }
-  recursive_bisect_hg(left.hypergraph, options, left_parts, first_part,
-                      left_map, out_part, seed * 6364136223846793005ULL + 1);
-  recursive_bisect_hg(right.hypergraph, options, right_parts,
-                      first_part + left_parts, right_map, out_part,
-                      seed * 6364136223846793005ULL + 2);
-}
-
-}  // namespace
-
-PartitionResult bisect_hypergraph(const Hypergraph& h, double target_fraction,
-                                  const PartitionOptions& options) {
-  require(h.num_vertices() > 0, "bisect_hypergraph: empty hypergraph");
-
-  std::vector<HypergraphCoarseLevel> hierarchy;
-  const Hypergraph* current = &h;
-  std::uint64_t seed = options.seed;
-  while (current->num_vertices() > options.coarsen_to) {
-    HypergraphCoarseLevel level = coarsen_hypergraph_once(*current, seed++);
-    if (level.hypergraph.num_vertices() >
-        static_cast<index_t>(0.9 * current->num_vertices())) {
-      break;
-    }
-    hierarchy.push_back(std::move(level));
-    current = &hierarchy.back().hypergraph;
-  }
-  ORDO_COUNTER_ADD("partition.hp.bisections", 1);
-  ORDO_COUNTER_ADD("partition.hp.coarsen_levels",
-                   static_cast<std::int64_t>(hierarchy.size()));
-
-  const std::int64_t target_weight = static_cast<std::int64_t>(
-      static_cast<double>(current->total_vertex_weight()) * target_fraction +
-      0.5);
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<index_t> dist(0, current->num_vertices() - 1);
-  std::vector<index_t> part =
-      grow_bisection(*current, dist(rng), target_weight);
-  fm_refine_bisection(*current, part,
-                      bisection_balance(current->total_vertex_weight(),
-                                        target_fraction,
-                                        options.imbalance_tolerance),
-                      options.refine_passes);
-
-  for (std::size_t level = hierarchy.size(); level > 0; --level) {
-    const Hypergraph& fine = level >= 2 ? hierarchy[level - 2].hypergraph : h;
-    const std::vector<index_t>& fine_to_coarse =
-        hierarchy[level - 1].fine_to_coarse;
-    std::vector<index_t> fine_part(
-        static_cast<std::size_t>(fine.num_vertices()));
-    for (index_t v = 0; v < fine.num_vertices(); ++v) {
-      fine_part[static_cast<std::size_t>(v)] = part[static_cast<std::size_t>(
-          fine_to_coarse[static_cast<std::size_t>(v)])];
-    }
-    part = std::move(fine_part);
-    fm_refine_bisection(fine, part,
-                        bisection_balance(fine.total_vertex_weight(),
-                                          target_fraction,
-                                          options.imbalance_tolerance),
-                        options.refine_passes);
-  }
-
+PartitionResult finish_bisection(const Hypergraph& h,
+                                 std::vector<index_t> part,
+                                 const PartitionOptions&) {
   PartitionResult result;
   result.part = std::move(part);
   result.num_parts = 2;
   result.cut = compute_cut_nets(h, result.part);
-  std::int64_t weight0 = 0;
-  for (index_t v = 0; v < h.num_vertices(); ++v) {
-    if (result.part[static_cast<std::size_t>(v)] == 0) {
-      weight0 += h.vertex_weight(v);
-    }
-  }
-  const double average = static_cast<double>(h.total_vertex_weight()) / 2.0;
-  result.imbalance =
-      average > 0
-          ? std::max(static_cast<double>(weight0),
-                     static_cast<double>(h.total_vertex_weight() - weight0)) /
-                average
-          : 1.0;
+  result.imbalance = compute_partition_imbalance(h, result.part, 2);
   ORDO_CHECK(
       validate_hypergraph_partition(h, result, 2, "bisect_hypergraph"));
   return result;
+}
+
+}  // namespace multilevel
+
+PartitionResult bisect_hypergraph(const Hypergraph& h, double target_fraction,
+                                  const PartitionOptions& options) {
+  require(h.num_vertices() > 0, "bisect_hypergraph: empty hypergraph");
+  return multilevel::multilevel_bisect(h, target_fraction, options);
 }
 
 PartitionResult partition_hypergraph(const Hypergraph& h,
@@ -319,29 +228,12 @@ PartitionResult partition_hypergraph(const Hypergraph& h,
           "partition_hypergraph: num_parts must be >= 1");
   ORDO_SCOPE("partition/hypergraph_kway");
   PartitionResult result;
-  result.part.assign(static_cast<std::size_t>(h.num_vertices()), 0);
+  result.part = multilevel::kway_partition(h, options, nullptr,
+                                           "partition_hypergraph");
   result.num_parts = options.num_parts;
-  if (options.num_parts > 1 && h.num_vertices() > 0) {
-    std::vector<index_t> to_parent(static_cast<std::size_t>(h.num_vertices()));
-    std::iota(to_parent.begin(), to_parent.end(), index_t{0});
-    recursive_bisect_hg(h, options, options.num_parts, 0, to_parent,
-                        result.part, options.seed);
-  }
   result.cut = compute_cut_nets(h, result.part);
-
-  std::vector<std::int64_t> weights(
-      static_cast<std::size_t>(options.num_parts), 0);
-  for (index_t v = 0; v < h.num_vertices(); ++v) {
-    weights[static_cast<std::size_t>(
-        result.part[static_cast<std::size_t>(v)])] += h.vertex_weight(v);
-  }
-  const double average =
-      static_cast<double>(h.total_vertex_weight()) / options.num_parts;
   result.imbalance =
-      average > 0 ? static_cast<double>(*std::max_element(weights.begin(),
-                                                          weights.end())) /
-                        average
-                  : 1.0;
+      compute_partition_imbalance(h, result.part, options.num_parts);
   ORDO_CHECK(validate_hypergraph_partition(h, result, options.num_parts,
                                            "partition_hypergraph"));
   return result;

@@ -1,8 +1,8 @@
 // Multilevel k-way hypergraph partitioner (PaToH stand-in).
 //
-// Same multilevel shape as the graph partitioner, adapted to hypergraphs:
-// heavy-connectivity matching for coarsening, BFS growing for the initial
-// bisection, and FM refinement under the **cut-net** metric (a net counts
+// Same driver as the graph partitioner (partition/multilevel.hpp), with
+// hypergraph steps: heavy-connectivity matching for coarsening, BFS growing
+// for the initial bisection, and FM refinement under the **cut-net** metric (a net counts
 // toward the objective when its pins land in more than one part), which is
 // the PaToH objective the paper's HP ordering uses.
 #pragma once

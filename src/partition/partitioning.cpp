@@ -1,7 +1,5 @@
 #include "partition/partitioning.hpp"
 
-#include <algorithm>
-
 namespace ordo {
 
 std::int64_t compute_edge_cut(const Graph& g,
@@ -22,29 +20,6 @@ std::int64_t compute_edge_cut(const Graph& g,
   }
   // Every undirected edge was visited from both endpoints.
   return cut / 2;
-}
-
-std::vector<std::int64_t> partition_weights(const Graph& g,
-                                            const std::vector<index_t>& part,
-                                            index_t num_parts) {
-  std::vector<std::int64_t> weights(static_cast<std::size_t>(num_parts), 0);
-  for (index_t v = 0; v < g.num_vertices(); ++v) {
-    weights[static_cast<std::size_t>(part[static_cast<std::size_t>(v)])] +=
-        g.vertex_weight(v);
-  }
-  return weights;
-}
-
-double compute_partition_imbalance(const Graph& g,
-                                   const std::vector<index_t>& part,
-                                   index_t num_parts) {
-  if (num_parts <= 0 || g.num_vertices() == 0) return 1.0;
-  const auto weights = partition_weights(g, part, num_parts);
-  const double average =
-      static_cast<double>(g.total_vertex_weight()) / num_parts;
-  const std::int64_t max_weight =
-      *std::max_element(weights.begin(), weights.end());
-  return average > 0 ? static_cast<double>(max_weight) / average : 1.0;
 }
 
 }  // namespace ordo

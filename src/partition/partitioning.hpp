@@ -2,6 +2,7 @@
 // hypergraph partitioners.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -46,14 +47,31 @@ struct PartitionResult {
 /// Sum of edge weights crossing between different parts.
 std::int64_t compute_edge_cut(const Graph& g, const std::vector<index_t>& part);
 
-/// Ratio of the heaviest part's vertex weight to the average part weight.
-double compute_partition_imbalance(const Graph& g,
-                                   const std::vector<index_t>& part,
-                                   index_t num_parts);
-
-/// Per-part vertex weights.
-std::vector<std::int64_t> partition_weights(const Graph& g,
+/// Per-part vertex weights of a Graph or a Hypergraph.
+template <typename Structure>
+std::vector<std::int64_t> partition_weights(const Structure& s,
                                             const std::vector<index_t>& part,
-                                            index_t num_parts);
+                                            index_t num_parts) {
+  std::vector<std::int64_t> weights(static_cast<std::size_t>(num_parts), 0);
+  for (index_t v = 0; v < s.num_vertices(); ++v) {
+    weights[static_cast<std::size_t>(part[static_cast<std::size_t>(v)])] +=
+        s.vertex_weight(v);
+  }
+  return weights;
+}
+
+/// Ratio of the heaviest part's vertex weight to the average part weight.
+template <typename Structure>
+double compute_partition_imbalance(const Structure& s,
+                                   const std::vector<index_t>& part,
+                                   index_t num_parts) {
+  if (num_parts <= 0 || s.num_vertices() == 0) return 1.0;
+  const auto weights = partition_weights(s, part, num_parts);
+  const double average =
+      static_cast<double>(s.total_vertex_weight()) / num_parts;
+  const std::int64_t max_weight =
+      *std::max_element(weights.begin(), weights.end());
+  return average > 0 ? static_cast<double>(max_weight) / average : 1.0;
+}
 
 }  // namespace ordo

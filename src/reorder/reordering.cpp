@@ -31,12 +31,12 @@ Ordering compute_ordering(const CsrMatrix& a, OrderingKind kind,
     obs::Stopwatch& watch;
     ~RecordOnExit() {
 #if defined(ORDO_OBS_ENABLED)
-      // Read the clock before building metric names: the histogram sample
-      // must not include string construction or registry lookups.
+      // Read the clock before building the metric name: the histogram
+      // sample must not include string construction or registry lookups.
+      // Its count is the number of calls.
       const double seconds = watch.seconds();
-      const std::string prefix = "reorder." + ordering_name(kind);
-      obs::counter(prefix + ".calls").increment();
-      obs::histogram(prefix + ".seconds").record(seconds);
+      obs::histogram("reorder." + ordering_name(kind) + ".seconds")
+          .record(seconds);
 #endif
     }
   } record{kind, watch};

@@ -32,6 +32,7 @@ struct SbdContext {
 void sbd_recurse(const CsrMatrix& a, const std::vector<index_t>& rows,
                  const std::vector<index_t>& cols, SbdContext& ctx,
                  std::vector<index_t>& col_order) {
+  poll_cancelled(ctx.options->cancel, "sbd_ordering");
   const index_t num_rows = static_cast<index_t>(rows.size());
   if (num_rows <= ctx.options->sbd_leaf_rows || cols.size() <= 1) {
     ctx.row_order.insert(ctx.row_order.end(), rows.begin(), rows.end());

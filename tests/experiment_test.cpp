@@ -9,9 +9,12 @@
 #include "core/experiment.hpp"
 #include "obs/obs.hpp"
 #include "partition/bisection_memo.hpp"
+#include "test_util.hpp"
 
 namespace ordo {
 namespace {
+
+using testing::Fnv1a;
 
 CorpusOptions tiny_corpus() {
   CorpusOptions options;
@@ -99,27 +102,6 @@ TEST(FullStudy, PopulatesObservabilityMetrics) {
   EXPECT_GT(obs::counter("partition.fm.passes").value(), 0);
 }
 #endif
-
-// FNV-1a over the eight little-endian bytes of each value. The golden
-// digests below cover integers only, so every compiler agrees on them.
-class Fnv1a {
- public:
-  void add(std::int64_t value) {
-    const auto bits = static_cast<std::uint64_t>(value);
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (bits >> (8 * byte)) & 0xffu;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void add(const Permutation& perm) {
-    add(static_cast<std::int64_t>(perm.size()));
-    for (index_t v : perm) add(static_cast<std::int64_t>(v));
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 CorpusOptions golden_corpus() {
   CorpusOptions options;

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <queue>
 
+#include "corpus/generators.hpp"
 #include "obs/obs.hpp"
 #include "partition/bisection_memo.hpp"
 #include "partition/coarsening.hpp"
@@ -14,11 +15,13 @@
 #include "partition/hypergraph.hpp"
 #include "partition/hypergraph_partitioner.hpp"
 #include "partition/initial_partition.hpp"
+#include "reorder/reordering.hpp"
 #include "test_util.hpp"
 
 namespace ordo {
 namespace {
 
+using testing::Fnv1a;
 using testing::grid_laplacian_2d;
 using testing::random_symmetric;
 
@@ -329,6 +332,54 @@ TEST(BisectionMemo, RejectsADifferentGraphOrOptions) {
   (void)partition_graph(g, options);
   options.num_parts = 5;
   EXPECT_NO_THROW((void)partition_graph(g, options));
+}
+
+// Digest of every part vector the partitioners produce for `a`: k-way
+// graph and hypergraph partitions at part counts whose recursions split at
+// 1/2, 1/3, 2/5 and 4/9, single bisections at 1/2, 3/8 and 1/3, and the SBD
+// permutation (the other bisect_hypergraph caller).
+std::uint64_t partitioner_digest(const CsrMatrix& a) {
+  const Graph g = Graph::from_matrix(a);
+  const Hypergraph h = Hypergraph::column_net(a);
+  Fnv1a digest;
+  for (index_t parts : {2, 3, 5, 16, 48, 72, 128}) {
+    PartitionOptions options;
+    options.num_parts = parts;
+    digest.add(partition_graph(g, options).part);
+    digest.add(partition_hypergraph(h, options).part);
+  }
+  for (double fraction : {1.0 / 2.0, 3.0 / 8.0, 1.0 / 3.0}) {
+    const PartitionOptions options;
+    digest.add(bisect_graph(g, fraction, options).part);
+    digest.add(bisect_hypergraph(h, fraction, options).part);
+  }
+  const auto [rows, cols] = sbd_ordering(a, ReorderOptions());
+  digest.add(rows);
+  digest.add(cols);
+  return digest.value();
+}
+
+// Recorded by building this test against the partitioners as they stood
+// with a separate multilevel driver and k-way recursion for graphs and for
+// hypergraphs, before both shared one driver. Any change to coarsening,
+// initial bisection, refinement, the recursion's fractions or its child
+// seeds shows up here.
+TEST(PartitionerGolden, PartVectorsMatchReference) {
+  const struct {
+    const char* family;
+    CsrMatrix matrix;
+    std::uint64_t digest;
+  } cases[] = {
+      {"mesh2d", gen_mesh2d(36, 36, 5), 0xbd414f35e3c6e881ULL},
+      {"circuit", gen_circuit(1500, 2, 3.0, 7), 0x2dd7886ea3c32f0dULL},
+      {"road", gen_road_network(1500, 11), 0x5ec9d9aeeb3e031bULL},
+      {"rmat", gen_rmat(10, 8, 0.57, 0.19, 0.19, 5), 0x309c60480e34dad1ULL},
+      {"mycielskian", gen_mycielskian(10), 0x04d0e88208b3f752ULL},
+  };
+  for (const auto& c : cases) {
+    const std::uint64_t digest = partitioner_digest(c.matrix);
+    EXPECT_EQ(digest, c.digest) << c.family << std::hex << ": 0x" << digest;
+  }
 }
 
 }  // namespace

@@ -13,6 +13,9 @@
 #include "graph/graph.hpp"
 #include "obs/obs.hpp"
 #include "partition/bisection_memo.hpp"
+#include "partition/graph_partitioner.hpp"
+#include "partition/hypergraph.hpp"
+#include "partition/hypergraph_partitioner.hpp"
 #include "perfmodel/arch.hpp"
 #include "reorder/reordering.hpp"
 #include "sparse/csr_ops.hpp"
@@ -448,6 +451,29 @@ TEST(GpSharedTree, WeightedGraphNeverReusesUnweightedSides) {
   (void)gp_ordering(a, options);
   options.gp_nnz_weighted = true;
   EXPECT_THROW((void)gp_ordering(a, options), invalid_argument_error);
+}
+
+TEST(Cancellation, RaisedFlagStopsEveryPartitionerPath) {
+  // The flag is raised before each call, so there is no timing window:
+  // every path must poll it before it finishes. The k-way partitions poll
+  // in the shared recursion (for graphs and hypergraphs alike), ND once per
+  // dissection node, SBD once per recursion node.
+  const CsrMatrix a = grid_laplacian_2d(20, 20);
+  ASSERT_GT(a.num_rows(), ReorderOptions().sbd_leaf_rows);
+  const std::atomic<bool> cancel{true};
+  PartitionOptions partition;
+  partition.num_parts = 4;
+  partition.cancel = &cancel;
+  EXPECT_THROW((void)partition_graph(Graph::from_matrix(a), partition),
+               operation_cancelled_error);
+  EXPECT_THROW(
+      (void)partition_hypergraph(Hypergraph::column_net(a), partition),
+      operation_cancelled_error);
+  ReorderOptions options;
+  options.cancel = &cancel;
+  EXPECT_THROW((void)hp_ordering(a, options), operation_cancelled_error);
+  EXPECT_THROW((void)nd_ordering(a, options), operation_cancelled_error);
+  EXPECT_THROW((void)sbd_ordering(a, options), operation_cancelled_error);
 }
 
 #if defined(ORDO_OBS_ENABLED)

@@ -1,7 +1,9 @@
 // Shared helpers for ordo tests: small deterministic matrix builders.
 #pragma once
 
+#include <cstdint>
 #include <random>
+#include <vector>
 
 #include "sparse/csr.hpp"
 #include "sparse/csr_ops.hpp"
@@ -44,5 +46,26 @@ inline CsrMatrix random_symmetric(index_t n, double avg_degree,
                                   std::uint64_t seed) {
   return symmetrize(random_square(n, avg_degree, seed));
 }
+
+/// FNV-1a over the eight little-endian bytes of each value. Golden digests
+/// cover integers only, so every compiler agrees on them.
+class Fnv1a {
+ public:
+  void add(std::int64_t value) {
+    const auto bits = static_cast<std::uint64_t>(value);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (bits >> (8 * byte)) & 0xffu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(const std::vector<index_t>& values) {
+    add(static_cast<std::int64_t>(values.size()));
+    for (index_t v : values) add(static_cast<std::int64_t>(v));
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
 
 }  // namespace ordo::testing
