@@ -17,6 +17,9 @@
 //   ORDO_PROFILE       set to 1 for observed per-thread kernel profiles
 //   ORDO_KERNELS       comma-separated engine kernel ids swept in addition
 //                      to the studied csr_1d,csr_2d pair (= --kernels)
+//   ORDO_JOBS          parallel per-matrix tasks (0 = all cores)
+//   ORDO_SHARDS        worker processes for the sweep
+// (StudyOptions knobs are read by ordo::study_options_from_env.)
 #pragma once
 
 #include <cstdio>
@@ -57,52 +60,6 @@ inline void init_observability(const std::string& report_name) {
   }
 }
 
-/// Splits a comma-separated kernel-id list ("merge,transpose").
-inline std::vector<std::string> parse_kernel_list(const char* list) {
-  std::vector<std::string> kernels;
-  std::string id;
-  for (const char* p = list;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!id.empty()) kernels.push_back(id);
-      id.clear();
-      if (*p == '\0') break;
-    } else {
-      id += *p;
-    }
-  }
-  return kernels;
-}
-
-/// Prints the engine's registered kernels with their capability flags.
-inline void print_kernel_table(std::FILE* out) {
-  std::fprintf(out, "registered kernels:\n");
-  for (const std::string& id : engine::kernel_ids()) {
-    const engine::KernelDesc& desc = engine::kernel(id);
-    std::string flags;
-    if (!desc.caps.parallel) flags += " serial";
-    if (!desc.caps.deterministic) flags += " nondeterministic";
-    if (desc.caps.needs_symmetric) flags += " needs-symmetric";
-    if (desc.caps.transposed_output) flags += " transposed-output";
-    if (flags.empty()) flags = " -";
-    std::fprintf(out, "  %-16s %-12s%s\n    %s\n", id.c_str(),
-                 desc.display_name.c_str(), flags.c_str(),
-                 desc.summary.c_str());
-  }
-}
-
-inline StudyOptions study_options_from_env() {
-  StudyOptions options;
-  options.model = model_options_from_env();
-  options.verbose = std::getenv("ORDO_VERBOSE") != nullptr;
-  if (const char* kernels = std::getenv("ORDO_KERNELS")) {
-    options.kernels = parse_kernel_list(kernels);
-  }
-  // ORDO_HW=1 (read by obs::init_from_env) turns on the counter session;
-  // the study then attaches host-measured columns to every row.
-  options.hw_counters = obs::hw::enabled();
-  return options;
-}
-
 /// Loads (or computes and caches) the full study shared by all benches.
 /// The (argc, argv) overload lets every figure/table harness accept
 /// --kernels LIST and --list-kernels; unrecognised arguments abort with a
@@ -113,11 +70,11 @@ inline StudyResults shared_study(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--kernels" && i + 1 < argc) {
-      for (std::string& id : parse_kernel_list(argv[++i])) {
+      for (std::string& id : engine::parse_kernel_list(argv[++i])) {
         options.kernels.push_back(std::move(id));
       }
     } else if (arg == "--list-kernels") {
-      print_kernel_table(stdout);
+      engine::print_kernel_table(stdout);
       std::exit(0);
     } else {
       std::fprintf(stderr,

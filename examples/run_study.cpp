@@ -37,6 +37,8 @@
 //
 // Observability: ORDO_TRACE/ORDO_LOG/ORDO_METRICS/ORDO_PROFILE are honoured
 // (see src/obs/obs.hpp); the trace and metrics files are written on exit.
+// The benches' study knobs (ORDO_JOBS, ORDO_SHARDS, ORDO_KERNELS,
+// ORDO_VERBOSE; see study_options_from_env) set defaults the flags override.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -54,35 +56,6 @@
 using namespace ordo;
 
 namespace {
-
-void append_kernel_list(std::vector<std::string>& kernels, const char* list) {
-  std::string id;
-  for (const char* p = list;; ++p) {
-    if (*p == ',' || *p == '\0') {
-      if (!id.empty()) kernels.push_back(id);
-      id.clear();
-      if (*p == '\0') break;
-    } else {
-      id += *p;
-    }
-  }
-}
-
-void print_kernel_table(std::FILE* out) {
-  std::fprintf(out, "registered kernels:\n");
-  for (const std::string& id : engine::kernel_ids()) {
-    const engine::KernelDesc& desc = engine::kernel(id);
-    std::string flags;
-    if (!desc.caps.parallel) flags += " serial";
-    if (!desc.caps.deterministic) flags += " nondeterministic";
-    if (desc.caps.needs_symmetric) flags += " needs-symmetric";
-    if (desc.caps.transposed_output) flags += " transposed-output";
-    if (flags.empty()) flags = " -";
-    std::fprintf(out, "  %-16s %-12s%s\n    %s\n", id.c_str(),
-                 desc.display_name.c_str(), flags.c_str(),
-                 desc.summary.c_str());
-  }
-}
 
 void print_usage(std::FILE* out, const char* argv0) {
   std::fprintf(out,
@@ -168,8 +141,7 @@ void print_usage(std::FILE* out, const char* argv0) {
 int main(int argc, char** argv) {
   obs::init_from_env();
   CorpusOptions corpus = corpus_options_from_env();
-  StudyOptions study;
-  study.model = model_options_from_env();
+  StudyOptions study = study_options_from_env();  // flags below override
   std::string out_dir = default_results_dir();
   int status_port = -1;        // -1 = not requested (0 = ephemeral)
   std::string status_file;
@@ -200,9 +172,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-resume") {
       study.resume = false;
     } else if (arg == "--kernels") {
-      append_kernel_list(study.kernels, next());
+      for (std::string& id : engine::parse_kernel_list(next())) {
+        study.kernels.push_back(std::move(id));
+      }
     } else if (arg == "--list-kernels") {
-      print_kernel_table(stdout);
+      engine::print_kernel_table(stdout);
       return 0;
     } else if (arg == "--allow-nondeterministic") {
       study.allow_nondeterministic = true;

@@ -499,6 +499,28 @@ std::string default_results_dir() {
   return "ordo_results";
 }
 
+StudyOptions study_options_from_env() {
+  StudyOptions options;
+  options.model = model_options_from_env();
+  options.verbose = std::getenv("ORDO_VERBOSE") != nullptr;
+  if (const char* kernels = std::getenv("ORDO_KERNELS")) {
+    options.kernels = engine::parse_kernel_list(kernels);
+  }
+  // ORDO_JOBS threads the sweep and ORDO_SHARDS forks it across worker
+  // processes, so every bench parallelises without new flags; results are
+  // byte-identical for any value of either (src/pipeline/shard.hpp).
+  if (const char* jobs = std::getenv("ORDO_JOBS")) {
+    if (*jobs != '\0') options.jobs = std::atoi(jobs);
+  }
+  if (const char* shards = std::getenv("ORDO_SHARDS")) {
+    if (*shards != '\0') options.shards = std::atoi(shards);
+  }
+  // ORDO_HW=1 (read by obs::init_from_env) turns on the counter session;
+  // the study then attaches host-measured columns to every row.
+  options.hw_counters = obs::hw::enabled();
+  return options;
+}
+
 StudyResults load_or_run_study(const std::string& dir,
                                const CorpusOptions& corpus_options,
                                const StudyOptions& options) {
@@ -567,22 +589,12 @@ StudyResults load_or_run_study(const std::string& dir,
   ORDO_COUNTER_ADD("study.cache_misses", 1);
   const std::vector<CorpusEntry> corpus = generate_corpus(corpus_options);
 
-  // The sweep checkpoints into the cache dir (so an interrupted run resumes
-  // there) and honours ORDO_JOBS, which lets every bench parallelise the
-  // sweep without new flags — results are byte-identical for any job count.
+  // The sweep checkpoints into the cache dir, so an interrupted run resumes
+  // there.
   StudyOptions run_options = options;
   if (run_options.checkpoint_dir.empty()) {
     fs::create_directories(dir);
     run_options.checkpoint_dir = dir;
-  }
-  if (const char* jobs = std::getenv("ORDO_JOBS")) {
-    run_options.jobs = std::atoi(jobs);
-  }
-  // ORDO_SHARDS forks the sweep across worker processes the same way
-  // ORDO_JOBS threads it — byte-identical results either way (see
-  // src/pipeline/shard.hpp).
-  if (const char* shards = std::getenv("ORDO_SHARDS")) {
-    if (*shards != '\0') run_options.shards = std::atoi(shards);
   }
   results = run_full_study(corpus, run_options);
 

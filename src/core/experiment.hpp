@@ -216,4 +216,11 @@ StudyResults load_or_run_study(const std::string& dir,
 /// Default cache directory: $ORDO_RESULTS_DIR or "ordo_results".
 std::string default_results_dir();
 
+/// StudyOptions defaults from the environment, read once by each CLI before
+/// its flags override them: ORDO_JOBS, ORDO_SHARDS, ORDO_KERNELS (added to
+/// the studied pair), ORDO_VERBOSE, the model knobs of
+/// model_options_from_env, and ORDO_HW via obs::hw::enabled() (so call it
+/// after obs::init_from_env). load_or_run_study itself reads no environment.
+StudyOptions study_options_from_env();
+
 }  // namespace ordo

@@ -110,6 +110,31 @@ std::vector<std::string> kernel_ids() {
   return ids;  // std::map iteration order is already sorted
 }
 
+std::vector<std::string> parse_kernel_list(const std::string& list) {
+  std::vector<std::string> ids;
+  std::istringstream in(list);
+  for (std::string id; std::getline(in, id, ',');) {
+    if (!id.empty()) ids.push_back(std::move(id));
+  }
+  return ids;
+}
+
+void print_kernel_table(std::FILE* out) {
+  std::fprintf(out, "registered kernels:\n");
+  for (const std::string& id : kernel_ids()) {
+    const KernelDesc& desc = kernel(id);
+    std::string flags;
+    if (!desc.caps.parallel) flags += " serial";
+    if (!desc.caps.deterministic) flags += " nondeterministic";
+    if (desc.caps.needs_symmetric) flags += " needs-symmetric";
+    if (desc.caps.transposed_output) flags += " transposed-output";
+    if (flags.empty()) flags = " -";
+    std::fprintf(out, "  %-16s %-12s%s\n    %s\n", id.c_str(),
+                 desc.display_name.c_str(), flags.c_str(),
+                 desc.summary.c_str());
+  }
+}
+
 Plan prepare(const CsrMatrix& a, const std::string& id, int threads) {
   require(threads >= 1, "engine::prepare: threads must be >= 1");
   const KernelDesc& desc = kernel(id);

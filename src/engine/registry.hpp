@@ -17,6 +17,7 @@
 #pragma once
 
 #include <compare>
+#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
@@ -98,6 +99,14 @@ const KernelDesc& kernel(const std::string& id);
 
 /// All registered ids, sorted.
 std::vector<std::string> kernel_ids();
+
+/// Splits a comma-separated kernel-id list ("merge,transpose"), dropping
+/// empty items: the --kernels / ORDO_KERNELS syntax.
+std::vector<std::string> parse_kernel_list(const std::string& list);
+
+/// Prints the registered kernels with their capability flags
+/// (--list-kernels).
+void print_kernel_table(std::FILE* out);
 
 /// RAII registration helper for kernels defined outside
 /// src/spmv/kernel_descriptors.cpp (tests, future plugins):

@@ -1,34 +1,22 @@
 #include "obs/agg/fleet.hpp"
 
-#include <signal.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
+#include "obs/status/heartbeat.hpp"
 #include "sparse/types.hpp"
 
 namespace ordo::obs::agg {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// True when `pid` names an existing process. EPERM still means "exists,
-/// just not ours to signal" — relevant when heartbeat files cross users.
-bool pid_exists(std::int64_t pid) {
-  if (pid <= 0) return false;
-  if (::kill(static_cast<pid_t>(pid), 0) == 0) return true;
-  return errno == EPERM;
-}
 
 /// Seconds since `path` was last renamed into place; nullopt when the file
 /// does not exist (or mtime is unreadable).
@@ -41,15 +29,11 @@ std::optional<double> heartbeat_age_seconds(const std::string& path) {
 }
 
 std::optional<JsonValue> read_heartbeat(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) return std::nullopt;
-  std::ostringstream text;
-  text << in.rdbuf();
   try {
-    return parse_json(text.str());
+    return read_json_file(path);
   } catch (const std::exception&) {
-    // Torn or mid-write file: the atomic-rename protocol makes this rare,
-    // but a reader racing the very first write can still lose.
+    // Absent, or torn mid-write: the atomic-rename protocol makes the
+    // latter rare, but a reader racing the very first write can still lose.
     return std::nullopt;
   }
 }
@@ -156,7 +140,7 @@ FleetSnapshot FleetMonitor::poll() {
     obs.heartbeat = true;
     obs.heartbeat_age_seconds = *age;
     read_observation_fields(*doc, obs);
-    obs.pid_alive = pid_exists(obs.pid);
+    obs.pid_alive = status::pid_alive(obs.pid);
     if (!obs.running) {
       obs.state = ShardState::kDone;
     } else if (!obs.pid_alive) {

@@ -1,8 +1,11 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include "sparse/types.hpp"
 
@@ -102,6 +105,7 @@ class JsonParser {
           case 'n': v.text += '\n'; break;
           case 't': v.text += '\t'; break;
           case 'r': v.text += '\r'; break;
+          case 'u': v.text += ascii_escape(); break;
           default:
             throw invalid_argument_error("json: unsupported escape");
         }
@@ -109,6 +113,20 @@ class JsonParser {
       }
       v.text += c;
     }
+  }
+
+  // The four hex digits after "\u": append_json_string writes control
+  // bytes this way, so \u0000-\u007f decode; anything beyond ASCII (and
+  // surrogate pairs) is not something ordo writes, and stays rejected.
+  char ascii_escape() {
+    require(pos_ + 4 <= text_.size(), "json: bad escape");
+    const char* hex = text_.data() + pos_;
+    unsigned code = 0;
+    const auto [end, error] = std::from_chars(hex, hex + 4, code, 16);
+    require(error == std::errc() && end == hex + 4 && code < 0x80,
+            "json: unsupported escape");
+    pos_ += 4;
+    return static_cast<char>(code);
   }
 
   JsonValue boolean() {
@@ -184,6 +202,14 @@ JsonValue parse_json(const std::string& text) {
   return JsonParser(text).parse();
 }
 
+JsonValue read_json_file(const std::string& path) {
+  std::ifstream in(path);
+  require(in.good(), "json: cannot open " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return parse_json(text.str());
+}
+
 void append_json_string(std::string& out, const std::string& s) {
   out += '"';
   for (char c : s) {
@@ -193,7 +219,15 @@ void append_json_string(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default: out += c;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buf;
+        } else {
+          out += c;
+        }
     }
   }
   out += '"';

@@ -8,9 +8,9 @@
 // corruption (the journal's torn-tail loader) catch it.
 //
 // This parser reads back files ordo wrote (BENCH_*.json round-trips,
-// study_journal.jsonl replay); it is not a general-purpose JSON library and
-// deliberately rejects what ordo never writes (\uXXXX escapes, exotic
-// whitespace).
+// study_journal.jsonl replay, per-process trace files); it is not a
+// general-purpose JSON library and deliberately rejects what ordo never
+// writes (\uXXXX escapes beyond ASCII, exotic whitespace).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,13 @@ struct JsonValue {
 /// Parses one complete JSON document (trailing characters are an error).
 JsonValue parse_json(const std::string& text);
 
-/// Appends `s` as a quoted, escaped JSON string literal.
+/// Reads and parses a whole file; throws invalid_argument_error when it
+/// cannot be opened or does not parse.
+JsonValue read_json_file(const std::string& path);
+
+/// Appends `s` as a quoted, escaped JSON string literal. Every byte below
+/// 0x20 is escaped (\n \t \r by name, the rest as \u00XX), so strict
+/// readers and parse_json both accept the output.
 void append_json_string(std::string& out, const std::string& s);
 
 /// Appends `v` with 17 significant digits (round-trip exact).
@@ -48,8 +54,8 @@ void append_json_double(std::string& out, double v);
 
 /// Re-serializes a parsed value. Numbers keep their original text, so a
 /// parse → append round trip is byte-identical for everything this parser
-/// accepts — what the trace merger relies on to re-emit shard span events
-/// without perturbing timestamps.
+/// accepts — what write_chrome_trace relies on to re-emit shard span
+/// events without perturbing timestamps.
 void append_json_value(std::string& out, const JsonValue& value);
 
 }  // namespace ordo::obs

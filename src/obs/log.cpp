@@ -44,15 +44,6 @@ LogLevel parse_log_level(const std::string& name) {
       "parse_log_level: expected quiet|progress|debug, got '" + name + "'");
 }
 
-std::string log_level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kQuiet: return "quiet";
-    case LogLevel::kProgress: return "progress";
-    case LogLevel::kDebug: return "debug";
-  }
-  return "?";
-}
-
 bool log_enabled(LogLevel level) {
   // Relaxed: see log_level().
   return static_cast<int>(level) <= g_level.load(std::memory_order_relaxed) &&

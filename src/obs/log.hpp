@@ -25,9 +25,6 @@ void set_log_level(LogLevel level);
 /// numeric levels 0/1/2). Throws invalid_argument_error on anything else.
 LogLevel parse_log_level(const std::string& name);
 
-/// Display name of a level ("quiet", "progress", "debug").
-std::string log_level_name(LogLevel level);
-
 /// True when a message at `level` would be emitted.
 bool log_enabled(LogLevel level);
 

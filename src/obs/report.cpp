@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "core/thread_safety.hpp"
@@ -207,18 +206,6 @@ void set_bench_report_name(const std::string& name) {
   if (s.output_path.empty()) s.output_path = "BENCH_" + name + ".json";
 }
 
-std::string bench_report_name() {
-  ReportState& s = state();
-  MutexLock lock(s.mutex);
-  return s.name;
-}
-
-std::string bench_report_output_path() {
-  ReportState& s = state();
-  MutexLock lock(s.mutex);
-  return s.output_path;
-}
-
 void set_bench_report_output_path(const std::string& path) {
   ReportState& s = state();
   MutexLock lock(s.mutex);
@@ -256,11 +243,7 @@ void write_bench_report() {
 }
 
 ParsedBenchReport parse_bench_report_file(const std::string& path) {
-  std::ifstream in(path);
-  require(in.good(), "bench report: cannot open " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const JsonValue root = parse_json(buffer.str());
+  const JsonValue root = read_json_file(path);
   require(root.kind == JsonValue::Kind::kObject,
           "bench report: top level must be an object");
 

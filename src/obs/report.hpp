@@ -74,10 +74,8 @@ BenchReport& bench_report();
 /// path to `BENCH_<name>.json` when no path was set. Benches pass their
 /// harness name; library code never calls this.
 void set_bench_report_name(const std::string& name);
-std::string bench_report_name();
 
 /// Output path for the report JSON; empty disables writing.
-std::string bench_report_output_path();
 void set_bench_report_output_path(const std::string& path);
 
 /// Writes the report to the configured path (no-op when unset or when no

@@ -8,7 +8,6 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
@@ -22,27 +21,21 @@ namespace {
 /// absent, unreadable or not a snapshot document (a half-written stranger
 /// file is not evidence of a live writer).
 long recorded_owner_pid(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) return -1;
-  std::ostringstream text;
-  text << in.rdbuf();
   try {
-    const JsonValue doc = parse_json(text.str());
+    const JsonValue doc = read_json_file(path);
     if (const JsonValue* pid = doc.find("pid")) return pid->as_int();
   } catch (const std::exception&) {
-    // Not a snapshot document; treat as ownerless.
+    // Absent or not a snapshot document; treat as ownerless.
   }
   return -1;
 }
 
-/// Signal-0 liveness probe: EPERM still means "exists" (owned by another
-/// user), only ESRCH means the pid is gone.
-bool pid_alive(long pid) {
+}  // namespace
+
+bool pid_alive(std::int64_t pid) {
   if (pid <= 0) return false;
   return ::kill(static_cast<pid_t>(pid), 0) == 0 || errno == EPERM;
 }
-
-}  // namespace
 
 HeartbeatWriter::HeartbeatWriter(std::string path, double interval_seconds)
     : path_(std::move(path)),

@@ -8,12 +8,18 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <string>
 #include <thread>
 
 #include "core/thread_safety.hpp"
 
 namespace ordo::obs::status {
+
+/// Signal-0 liveness probe for a heartbeat's owner: true when `pid` names
+/// an existing process. EPERM still means "exists" (owned by another user,
+/// relevant when heartbeat files cross users); only ESRCH means gone.
+bool pid_alive(std::int64_t pid);
 
 class HeartbeatWriter {
  public:

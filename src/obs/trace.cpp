@@ -5,11 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 
 #include "core/thread_safety.hpp"
+#include "obs/json.hpp"
+#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stopwatch.hpp"
 #include "sparse/types.hpp"
@@ -19,11 +20,23 @@ namespace {
 
 std::atomic<bool> g_tracing_enabled{false};
 
-Mutex g_label_mutex;
-// Leaked: read by the atexit trace export, after ordinary statics died.
-std::string& label_storage() ORDO_REQUIRES(g_label_mutex) {
-  static std::string* label = new std::string;
-  return *label;
+// This process's trace identity: the label of its row, and the
+// per-process trace files (a sharded parent's `.shard<k>` inputs) its
+// export appends after its own spans. Leaked: read by the atexit trace
+// export, after ordinary statics died.
+struct TraceInput {
+  std::string path;
+  std::string label;  ///< row name when the file carries no process_label
+};
+struct TraceRows {
+  std::string label;
+  std::vector<TraceInput> inputs;
+};
+
+Mutex g_rows_mutex;
+TraceRows& trace_rows() ORDO_REQUIRES(g_rows_mutex) {
+  static TraceRows* rows = new TraceRows;
+  return *rows;
 }
 
 // Per-thread span buffer. The owning thread is the only appender, but a
@@ -71,22 +84,61 @@ ThreadBuffer& local_buffer() {
   return *buffer;
 }
 
-void json_escape(std::ostream& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
+// The Chrome metadata rows naming one process's row: a process_name, plus
+// a process_sort_index when rows from several processes share the file.
+void write_process_rows(std::ostream& out, std::int64_t pid,
+                        const std::string& label, int sort_index) {
+  std::string name;
+  append_json_string(name, label);
+  out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
+      << ",\"args\":{\"name\":" << name << "}}";
+  if (sort_index < 0) return;
+  out << ",{\"name\":\"process_sort_index\",\"ph\":\"M\",\"pid\":" << pid
+      << ",\"args\":{\"sort_index\":" << sort_index << "}}";
+}
+
+// Writes one input file's rows and events, each preceded by a comma (the
+// calling process's row always comes first). Metadata rows are re-authored
+// from the file's own pid/process_label keys; everything else re-emits
+// byte-preserving (raw number text keeps the timestamps exact). An
+// unreadable or torn file is logged and skipped: a crashed shard must not
+// take the surviving shards' timeline with it.
+void write_input_events(std::ostream& out, const TraceInput& input,
+                        int sort_index) {
+  JsonValue parsed;
+  try {
+    parsed = read_json_file(input.path);
+    require(parsed.at("traceEvents").kind == JsonValue::Kind::kArray,
+            "json: traceEvents is not an array");
+  } catch (const std::exception& e) {
+    logf(LogLevel::kProgress,
+         "trace: skipping %s (%s; did that shard crash before its trace "
+         "export?)",
+         input.path.c_str(), e.what());
+    return;
+  }
+  // A file without a pid gets a synthetic negative one so its rows never
+  // collide with a real process's.
+  const JsonValue* pid_value = parsed.find("pid");
+  const std::int64_t pid = pid_value != nullptr
+                               ? pid_value->as_int()
+                               : -static_cast<std::int64_t>(sort_index);
+  const JsonValue* label_value = parsed.find("process_label");
+  std::string label =
+      label_value != nullptr ? label_value->as_string() : input.label;
+  if (label.empty()) label = "pid " + std::to_string(pid);
+  out << ',';
+  write_process_rows(out, pid, label, sort_index);
+  std::string text;
+  for (const JsonValue& event : parsed.at("traceEvents").items) {
+    const JsonValue* ph = event.find("ph");
+    if (ph != nullptr && ph->kind == JsonValue::Kind::kString &&
+        ph->text == "M") {
+      continue;
     }
+    text.assign(1, ',');
+    append_json_value(text, event);
+    out << text;
   }
 }
 
@@ -140,47 +192,70 @@ std::vector<SpanEvent> collect_trace() {
 }
 
 std::string trace_process_label() {
-  MutexLock lock(g_label_mutex);
-  return label_storage();
+  MutexLock lock(g_rows_mutex);
+  return trace_rows().label;
 }
 
 void set_trace_process_label(const std::string& label) {
-  MutexLock lock(g_label_mutex);
-  label_storage() = label;
+  MutexLock lock(g_rows_mutex);
+  trace_rows().label = label;
+}
+
+void register_trace_input(const std::string& path,
+                          const std::string& label) {
+  MutexLock lock(g_rows_mutex);
+  for (TraceInput& input : trace_rows().inputs) {
+    if (input.path == path) {
+      input.label = label;
+      return;
+    }
+  }
+  trace_rows().inputs.push_back({path, label});
+}
+
+void clear_trace_inputs() {
+  MutexLock lock(g_rows_mutex);
+  trace_rows().inputs.clear();
 }
 
 void write_chrome_trace(std::ostream& out) {
-  const std::vector<SpanEvent> events = collect_trace();
+  std::vector<TraceInput> inputs;
+  std::string label;
+  {
+    MutexLock lock(g_rows_mutex);
+    inputs = trace_rows().inputs;
+    label = trace_rows().label;
+  }
+  // A stitched document names every row, the calling process's included.
+  if (label.empty() && !inputs.empty()) label = "parent";
   const long pid = static_cast<long>(::getpid());
-  const std::string label = trace_process_label();
   // schema_version and process_label are ours (chrome://tracing ignores
   // unknown top-level keys); schema_version tracks the span "args" layout,
-  // versioned with the metrics document, and pid/process_label let the
-  // shard trace merger stitch per-process files into named rows.
+  // versioned with the metrics document, and pid/process_label name this
+  // file's row when a parent appends it as an input.
   out << "{\"schema_version\":" << kMetricsSchemaVersion << ",\"pid\":" << pid;
+  std::string text;  // scratch for escaped strings
   if (!label.empty()) {
-    out << ",\"process_label\":\"";
-    json_escape(out, label);
-    out << '"';
+    append_json_string(text, label);
+    out << ",\"process_label\":" << text;
   }
   out << ",\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  if (!label.empty()) {
-    out << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-        << ",\"args\":{\"name\":\"";
-    json_escape(out, label);
-    out << "\"}}";
-    first = false;
-  }
-  for (const SpanEvent& e : events) {
+  bool first = label.empty();
+  if (!first) write_process_rows(out, pid, label, inputs.empty() ? -1 : 0);
+  for (const SpanEvent& e : collect_trace()) {
     if (!first) out << ',';
     first = false;
-    out << "{\"name\":\"";
-    json_escape(out, e.name);
-    out << "\",\"cat\":\"ordo\",\"ph\":\"X\",\"ts\":" << e.start_us
-        << ",\"dur\":" << e.duration_us << ",\"pid\":" << pid
+    text.clear();
+    append_json_string(text, e.name);
+    out << "{\"name\":" << text << ",\"cat\":\"ordo\",\"ph\":\"X\",\"ts\":"
+        << e.start_us << ",\"dur\":" << e.duration_us << ",\"pid\":" << pid
         << ",\"tid\":" << e.thread_id << ",\"args\":{\"depth\":" << e.depth
         << "}}";
+  }
+  // Inputs exist only on a labelled process, so a row precedes them.
+  int sort_index = 0;
+  for (const TraceInput& input : inputs) {
+    write_input_events(out, input, ++sort_index);
   }
   out << "]}\n";
 }

@@ -16,6 +16,12 @@
 // Export is Chrome trace_event JSON ("X" complete events), loadable in
 // chrome://tracing or Perfetto. `ORDO_TRACE=out.json` (see obs.hpp) enables
 // tracing and writes the file at finalize().
+//
+// Sharded runs use the same writer: each worker writes a complete labelled
+// trace to `<path>.shard<k>`, and the parent's export appends those files
+// (its registered inputs) after its own spans, one named row per real pid.
+// No rebasing: the workers inherit the trace_now_us() anchor the parent
+// pins before forking (CLOCK_MONOTONIC is machine-wide).
 #pragma once
 
 #include <cstdint>
@@ -54,10 +60,20 @@ std::vector<SpanEvent> collect_trace();
 std::string trace_process_label();
 void set_trace_process_label(const std::string& label);
 
-/// Writes the collected spans as Chrome trace_event JSON. Events carry the
-/// real pid (plus a top-level "pid" key), so per-process trace files can
-/// be stitched into one timeline (obs/agg/trace_merge.hpp) with each
-/// process on its own named row.
+/// Registers a per-process trace file to append to this process's export;
+/// registration order is its rows' process_sort_index (this process sorts
+/// first). Idempotent per path: a re-registration updates the label, the
+/// row name used when the file carries no process_label.
+void register_trace_input(const std::string& path, const std::string& label);
+
+/// Drops all registered inputs (tests and repeated in-process runs).
+void clear_trace_inputs();
+
+/// Writes the collected spans as Chrome trace_event JSON, then the events
+/// of every registered input (an unreadable or torn one is logged and
+/// skipped). Events carry the real pid, plus a top-level "pid" key. With
+/// inputs every process gets a named row, this one "parent" when
+/// unlabelled; without, this process is named only when labelled.
 void write_chrome_trace(std::ostream& out);
 void write_chrome_trace_file(const std::string& path);
 

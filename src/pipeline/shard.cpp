@@ -14,7 +14,6 @@
 
 #include "engine/registry.hpp"
 #include "obs/agg/fleet.hpp"
-#include "obs/agg/trace_merge.hpp"
 #include "obs/obs.hpp"
 #include "obs/status/status.hpp"
 #include "pipeline/journal.hpp"
@@ -236,15 +235,14 @@ StudyReport run_sharded_study(const std::vector<CorpusEntry>& corpus,
       "fleet", [fleet_monitor](std::string& out) {
         fleet_monitor->append_section(out);
       });
-  // Each worker's trace file (suffixed at fork) feeds the parent's
-  // finalize-time stitch, so ORDO_TRACE on a sharded run yields one merged
-  // multi-process timeline at the configured path.
+  // Each worker's trace file (suffixed at fork) is an input of the
+  // parent's finalize-time export, so ORDO_TRACE on a sharded run yields
+  // one multi-process timeline at the configured path.
   if (const std::string trace = obs::trace_output_path(); !trace.empty()) {
     obs::set_trace_process_label("parent");
     for (int k = 0; k < shards; ++k) {
-      obs::agg::register_trace_merge_input(
-          trace + ".shard" + std::to_string(k),
-          "shard " + std::to_string(k));
+      obs::register_trace_input(trace + ".shard" + std::to_string(k),
+                                "shard " + std::to_string(k));
     }
   }
 

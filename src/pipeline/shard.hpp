@@ -6,14 +6,14 @@
 //     ├── suspend status consumers, fork N workers, resume consumers
 //     ├── register the "fleet" /stats section (obs/agg/fleet.hpp polls the
 //     │   worker heartbeats: progress, liveness, stragglers, merged
-//     │   histograms) and the workers' trace files as merge inputs
+//     │   histograms) and the workers' trace files as trace inputs
 //     ├── waitpid × N  (a crashed worker faults only its own slice)
 //     ├── fold the workers' final histograms into its own registry
 //     └── merge: replay every shard journal + failure file in corpus
 //         order, synthesize StudyTaskFailure rows for a crashed worker's
 //         unfinished slice, write the merged study_journal.jsonl and
-//         study_failures.jsonl; finalize() stitches the shard traces into
-//         one multi-process timeline (obs/agg/trace_merge.hpp)
+//         study_failures.jsonl; finalize()'s one trace export appends
+//         the shard traces into one multi-process timeline (obs/trace.hpp)
 //   worker k (forked child, _exits, never returns)
 //     ├── heartbeat → <checkpoint_dir>/ordo_status.shard<k>.json
 //     ├── ORDO_TRACE / ORDO_METRICS re-pointed to <path>.shard<k>
@@ -35,6 +35,8 @@
 //     trace/metrics dumps go to the .shard<k>-suffixed paths set at fork,
 //     never the parent's files, and no inherited consumer thread exists
 //     (the parent suspends its listener/heartbeat around the fork window).
+//     Each .shard<k> trace is a complete document labelled "shard k", so
+//     a crashed parent's leftovers open on their own, unstitched.
 #pragma once
 
 #include <string>

@@ -24,6 +24,10 @@ struct SbdContext {
   const ReorderOptions* options;
   Permutation row_order;  // filled in recursion order
   std::uint64_t seed;
+  // Global column -> position in the current node's `cols`, -1 elsewhere.
+  // Allocated once; each node sets its own entries and resets them before
+  // recursing, so a node costs O(its nonzeros), not O(num_cols).
+  std::vector<index_t> col_to_local;
 };
 
 // Orders the submatrix given by `rows` x `cols` (original ids). Appends row
@@ -42,14 +46,9 @@ void sbd_recurse(const CsrMatrix& a, const std::vector<index_t>& rows,
 
   // Column-net hypergraph of the submatrix: vertices = local rows, nets =
   // local columns with >= 2 pins.
-  std::vector<index_t> col_to_local(static_cast<std::size_t>(a.num_cols()),
-                                    -1);
+  std::vector<index_t>& col_to_local = ctx.col_to_local;
   for (std::size_t c = 0; c < cols.size(); ++c) {
     col_to_local[static_cast<std::size_t>(cols[c])] = static_cast<index_t>(c);
-  }
-  std::vector<index_t> row_in(static_cast<std::size_t>(a.num_rows()), -1);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    row_in[static_cast<std::size_t>(rows[r])] = static_cast<index_t>(r);
   }
 
   // Count pins per local column.
@@ -95,13 +94,6 @@ void sbd_recurse(const CsrMatrix& a, const std::vector<index_t>& rows,
   for (std::size_t r = 0; r < rows.size(); ++r) {
     (bisection.part[r] == 0 ? rows_top : rows_bottom).push_back(rows[r]);
   }
-  if (rows_top.empty() || rows_bottom.empty()) {
-    // Degenerate bisection; stop recursing to guarantee termination.
-    ctx.row_order.insert(ctx.row_order.end(), rows.begin(), rows.end());
-    col_order.insert(col_order.end(), cols.begin(), cols.end());
-    return;
-  }
-
   std::vector<unsigned char> touched(cols.size(), 0);  // bit0 top, bit1 bottom
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const unsigned char side = bisection.part[r] == 0 ? 1 : 2;
@@ -109,6 +101,13 @@ void sbd_recurse(const CsrMatrix& a, const std::vector<index_t>& rows,
       const index_t local = col_to_local[static_cast<std::size_t>(j)];
       if (local >= 0) touched[static_cast<std::size_t>(local)] |= side;
     }
+  }
+  for (index_t c : cols) col_to_local[static_cast<std::size_t>(c)] = -1;
+  if (rows_top.empty() || rows_bottom.empty()) {
+    // Degenerate bisection; stop recursing to guarantee termination.
+    ctx.row_order.insert(ctx.row_order.end(), rows.begin(), rows.end());
+    col_order.insert(col_order.end(), cols.begin(), cols.end());
+    return;
   }
   std::vector<index_t> cols_top, cols_cut, cols_bottom;
   for (std::size_t c = 0; c < cols.size(); ++c) {
@@ -139,6 +138,7 @@ std::pair<Permutation, Permutation> sbd_ordering(
   ctx.options = &options;
   ctx.seed = options.seed + 0x5bdULL;
   ctx.row_order.reserve(static_cast<std::size_t>(a.num_rows()));
+  ctx.col_to_local.assign(static_cast<std::size_t>(a.num_cols()), -1);
 
   std::vector<index_t> all_rows(static_cast<std::size_t>(a.num_rows()));
   std::iota(all_rows.begin(), all_rows.end(), index_t{0});

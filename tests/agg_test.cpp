@@ -1,9 +1,9 @@
 // Fleet-telemetry aggregation suite: the log-linear obs::Histogram's
 // bucket arithmetic and exact merge and its JSON wire forms (the substrate
 // of the fleet merge), then src/obs/agg/ — the FleetMonitor's
-// liveness/straggler verdicts over synthetic heartbeat files and the
-// in-process Chrome trace stitcher. The TsanStressTest
-// cases run again under the sanitizer CI job (ctest -R '^TsanStress').
+// liveness/straggler verdicts over synthetic heartbeat files. The
+// TsanStressTest cases run again under the sanitizer CI job
+// (ctest -R '^TsanStress').
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,10 +23,8 @@
 #include <vector>
 
 #include "obs/agg/fleet.hpp"
-#include "obs/agg/trace_merge.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace ordo {
 namespace {
@@ -428,92 +426,6 @@ TEST(Fleet, SectionJsonParsesAndFollowsAbsentNotZero) {
   EXPECT_EQ(fresh.find("rate_tasks_per_second"), nullptr);
   EXPECT_EQ(doc.at("stragglers").as_int(), 0);
   EXPECT_NE(doc.find("histograms"), nullptr);
-  fs::remove_all(dir);
-}
-
-// --- trace stitching -------------------------------------------------------
-
-// One per-process trace file as obs::write_chrome_trace emits it.
-void write_shard_trace(const std::string& path, int pid,
-                       const std::string& label, const std::string& span) {
-  std::ofstream out(path);
-  out << "{\"schema_version\":1,\"pid\":" << pid << ",\"process_label\":\""
-      << label << "\",\"displayTimeUnit\":\"ms\",\"traceEvents\":["
-      << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-      << ",\"args\":{\"name\":\"" << label << "\"}},"
-      << "{\"name\":\"" << span
-      << "\",\"cat\":\"ordo\",\"ph\":\"X\",\"ts\":100,\"dur\":50,\"pid\":"
-      << pid << ",\"tid\":1,\"args\":{\"depth\":0}}]}\n";
-}
-
-TEST(TraceMerge, StitchesShardFilesIntoNamedProcessRows) {
-  const std::string dir = fresh_dir("ordo_agg_trace_merge");
-  write_shard_trace(dir + "/trace.shard0", 11111, "shard 0", "study/task");
-  write_shard_trace(dir + "/trace.shard1", 22222, "shard 1", "study/spmv");
-
-  agg::clear_trace_merge_inputs();
-  agg::register_trace_merge_input(dir + "/trace.shard0", "shard 0");
-  agg::register_trace_merge_input(dir + "/trace.shard1", "shard 1");
-  // Registration is idempotent per path — re-registering must not create a
-  // duplicate process row.
-  agg::register_trace_merge_input(dir + "/trace.shard0", "shard 0");
-  EXPECT_EQ(agg::trace_merge_inputs().size(), 2u);
-
-  std::ostringstream merged;
-  agg::write_merged_chrome_trace(merged);
-  const obs::JsonValue doc = obs::parse_json(merged.str());
-  const obs::JsonValue& events = doc.at("traceEvents");
-
-  std::vector<std::int64_t> named_pids;
-  std::vector<std::int64_t> span_pids;
-  for (const obs::JsonValue& event : events.items) {
-    if (event.at("ph").text == "M") {
-      if (event.at("name").text == "process_name") {
-        named_pids.push_back(event.at("pid").as_int());
-      }
-      continue;
-    }
-    span_pids.push_back(event.at("pid").as_int());
-  }
-  // Three named rows: this process (the "parent") plus the two shards,
-  // each under its real pid.
-  const std::int64_t own_pid = static_cast<std::int64_t>(::getpid());
-  ASSERT_EQ(named_pids.size(), 3u);
-  EXPECT_EQ(named_pids[0], own_pid);
-  EXPECT_NE(std::find(named_pids.begin(), named_pids.end(), 11111),
-            named_pids.end());
-  EXPECT_NE(std::find(named_pids.begin(), named_pids.end(), 22222),
-            named_pids.end());
-  // The shard spans survived with their own pids (no re-parenting).
-  EXPECT_NE(std::find(span_pids.begin(), span_pids.end(), 11111),
-            span_pids.end());
-  EXPECT_NE(std::find(span_pids.begin(), span_pids.end(), 22222),
-            span_pids.end());
-  agg::clear_trace_merge_inputs();
-  fs::remove_all(dir);
-}
-
-TEST(TraceMerge, UnreadableInputIsSkippedNotFatal) {
-  const std::string dir = fresh_dir("ordo_agg_trace_missing");
-  write_shard_trace(dir + "/trace.shard0", 33333, "shard 0", "study/task");
-
-  agg::clear_trace_merge_inputs();
-  agg::register_trace_merge_input(dir + "/trace.shard0", "shard 0");
-  // A worker that was SIGKILLed before finalize leaves no file: the merge
-  // must still produce a valid trace from the survivors.
-  agg::register_trace_merge_input(dir + "/trace.shard1", "shard 1");
-
-  std::ostringstream merged;
-  agg::write_merged_chrome_trace(merged);
-  const obs::JsonValue doc = obs::parse_json(merged.str());
-  bool found_survivor = false;
-  for (const obs::JsonValue& event : doc.at("traceEvents").items) {
-    if (event.at("ph").text != "M" && event.at("pid").as_int() == 33333) {
-      found_survivor = true;
-    }
-  }
-  EXPECT_TRUE(found_survivor);
-  agg::clear_trace_merge_inputs();
   fs::remove_all(dir);
 }
 

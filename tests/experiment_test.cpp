@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "obs/obs.hpp"
+#include "obs/status/status.hpp"
 #include "partition/bisection_memo.hpp"
 #include "test_util.hpp"
 
@@ -279,6 +281,22 @@ TEST(StudyCache, SecondLoadReadsFiles) {
     EXPECT_NEAR(a[i].orderings[4].gflops_max, b[i].orderings[4].gflops_max,
                 1e-6 * a[i].orderings[4].gflops_max);
   }
+  fs::remove_all(dir);
+}
+
+TEST(StudyCache, EnvironmentJobsIsADefaultNotAnOverride) {
+  // ORDO_JOBS is read where the CLIs build their options, before flags;
+  // load_or_run_study must run an explicit options.jobs as given.
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "/ordo_cache_env_jobs";
+  fs::remove_all(dir);
+  ASSERT_EQ(::setenv("ORDO_JOBS", "3", 1), 0);
+  EXPECT_EQ(study_options_from_env().jobs, 3);
+  StudyOptions options;
+  options.jobs = 1;
+  load_or_run_study(dir, tiny_corpus(), options);
+  ASSERT_EQ(::unsetenv("ORDO_JOBS"), 0);
+  EXPECT_EQ(obs::status::progress().workers, 1);
   fs::remove_all(dir);
 }
 

@@ -1,15 +1,21 @@
-// Tests for ordo::obs: span nesting and the trace buffer, thread safety of
-// the metrics registry, JSON export well-formedness, the logging sink and
-// environment-variable configuration.
+// Tests for ordo::obs: span nesting and the trace buffer, the Chrome trace
+// export and its stitch of per-process trace files, thread safety of the
+// metrics registry, JSON export well-formedness and escaping, the logging
+// sink and environment-variable configuration.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "sparse/types.hpp"
 
@@ -142,6 +148,144 @@ TEST_F(ObsTest, ChromeTraceExportIsWellFormedJson) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("study/run"), std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
+}
+
+// --- trace inputs: the sharded parent's stitch ----------------------------
+
+std::string fresh_dir(const std::string& leaf) {
+  const std::string dir = ::testing::TempDir() + "/" + leaf;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// One per-process trace file as obs::write_chrome_trace emits it.
+void write_shard_trace(const std::string& path, int pid,
+                       const std::string& label, const std::string& span) {
+  std::ofstream out(path);
+  out << "{\"schema_version\":1,\"pid\":" << pid << ",\"process_label\":\""
+      << label << "\",\"displayTimeUnit\":\"ms\",\"traceEvents\":["
+      << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
+      << ",\"args\":{\"name\":\"" << label << "\"}},"
+      << "{\"name\":\"" << span
+      << "\",\"cat\":\"ordo\",\"ph\":\"X\",\"ts\":100,\"dur\":50,\"pid\":"
+      << pid << ",\"tid\":1,\"args\":{\"depth\":0}}]}\n";
+}
+
+TEST(TraceMerge, StitchesShardFilesIntoNamedProcessRows) {
+  const std::string dir = fresh_dir("ordo_obs_trace_merge");
+  write_shard_trace(dir + "/trace.shard0", 11111, "shard 0", "study/task");
+  write_shard_trace(dir + "/trace.shard1", 22222, "shard 1", "study/spmv");
+
+  clear_trace_inputs();
+  register_trace_input(dir + "/trace.shard0", "shard 0");
+  register_trace_input(dir + "/trace.shard1", "shard 1");
+  // Registration is idempotent per path — re-registering must not create a
+  // duplicate process row.
+  register_trace_input(dir + "/trace.shard0", "shard 0");
+
+  std::ostringstream merged;
+  write_chrome_trace(merged);
+  const JsonValue doc = parse_json(merged.str());
+  const JsonValue& events = doc.at("traceEvents");
+
+  std::vector<std::int64_t> named_pids;
+  std::vector<std::int64_t> span_pids;
+  for (const JsonValue& event : events.items) {
+    if (event.at("ph").text == "M") {
+      if (event.at("name").text == "process_name") {
+        named_pids.push_back(event.at("pid").as_int());
+      }
+      continue;
+    }
+    span_pids.push_back(event.at("pid").as_int());
+  }
+  // Three named rows: this process (the "parent") plus the two shards,
+  // each under its real pid.
+  const std::int64_t own_pid = static_cast<std::int64_t>(::getpid());
+  ASSERT_EQ(named_pids.size(), 3u);
+  EXPECT_EQ(named_pids[0], own_pid);
+  EXPECT_EQ(doc.at("process_label").as_string(), "parent");
+  EXPECT_NE(std::find(named_pids.begin(), named_pids.end(), 11111),
+            named_pids.end());
+  EXPECT_NE(std::find(named_pids.begin(), named_pids.end(), 22222),
+            named_pids.end());
+  // The shard spans survived with their own pids (no re-parenting).
+  EXPECT_NE(std::find(span_pids.begin(), span_pids.end(), 11111),
+            span_pids.end());
+  EXPECT_NE(std::find(span_pids.begin(), span_pids.end(), 22222),
+            span_pids.end());
+  clear_trace_inputs();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TraceMerge, UnreadableInputIsSkippedNotFatal) {
+  const std::string dir = fresh_dir("ordo_obs_trace_missing");
+  write_shard_trace(dir + "/trace.shard0", 33333, "shard 0", "study/task");
+
+  clear_trace_inputs();
+  register_trace_input(dir + "/trace.shard0", "shard 0");
+  // A worker that was SIGKILLed before finalize leaves no file: the merge
+  // must still produce a valid trace from the survivors.
+  register_trace_input(dir + "/trace.shard1", "shard 1");
+
+  std::ostringstream merged;
+  write_chrome_trace(merged);
+  const JsonValue doc = parse_json(merged.str());
+  bool found_survivor = false;
+  for (const JsonValue& event : doc.at("traceEvents").items) {
+    if (event.at("ph").text != "M" && event.at("pid").as_int() == 33333) {
+      found_survivor = true;
+    }
+  }
+  EXPECT_TRUE(found_survivor);
+  clear_trace_inputs();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TraceMerge, ControlCharacterSpanNamesSurviveTheStitch) {
+  // Span names embed matrix names, so any byte can reach the writer. A
+  // worker file written by write_chrome_trace must parse back in the
+  // parent's stitch with the name intact, not be dropped as torn JSON.
+  const std::string dir = fresh_dir("ordo_obs_trace_control");
+  const std::string name = "a\rb\x01" "c";
+  clear_trace();
+  clear_trace_inputs();
+  set_tracing_enabled(true);
+  set_trace_process_label("shard 0");
+  { Span span(name); }
+  write_chrome_trace_file(dir + "/trace.shard0");
+  clear_trace();
+  set_trace_process_label("");
+  register_trace_input(dir + "/trace.shard0", "shard 0");
+
+  std::ostringstream merged;
+  write_chrome_trace(merged);
+  set_tracing_enabled(false);
+  clear_trace_inputs();
+  const JsonValue doc = parse_json(merged.str());
+  std::vector<std::string> span_names;
+  for (const JsonValue& event : doc.at("traceEvents").items) {
+    if (event.at("ph").text == "X") span_names.push_back(event.at("name").text);
+  }
+  EXPECT_EQ(span_names, std::vector<std::string>{name});
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Json, EscapesEveryControlByteAndDecodesAsciiEscapesOnly) {
+  std::string all_controls;
+  for (int c = 1; c < 0x20; ++c) all_controls += static_cast<char>(c);
+  std::string literal;
+  append_json_string(literal, all_controls);
+  for (char c : literal) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20) << literal;
+  }
+  EXPECT_EQ(parse_json(literal).as_string(), all_controls);
+  EXPECT_EQ(parse_json("\"\\u0041\\u007F\"").as_string(), "A\x7f");
+  EXPECT_THROW(parse_json("\"\\u0080\""), invalid_argument_error);
+  EXPECT_THROW(parse_json("\"\\ud83d\\ude00\""), invalid_argument_error);
+  EXPECT_THROW(parse_json("\"\\u00\""), invalid_argument_error);
+  EXPECT_THROW(parse_json("\"\\u0x1f\""), invalid_argument_error);
 }
 
 TEST_F(ObsTest, CountersAreThreadSafe) {

@@ -22,7 +22,6 @@
 
 #include "core/experiment.hpp"
 #include "corpus/stream.hpp"
-#include "obs/agg/trace_merge.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/status/heartbeat.hpp"
@@ -287,7 +286,7 @@ TEST(Shard, WorkersSuffixTelemetryOutputsAndTracesStitch) {
   obs::set_tracing_enabled(true);
   obs::set_trace_output_path(dir + "/trace.json");
   obs::set_metrics_output_path(dir + "/metrics.json");
-  obs::agg::clear_trace_merge_inputs();
+  obs::clear_trace_inputs();
   [[maybe_unused]] const std::int64_t tasks_before =
       obs::histogram("task").snapshot().count;
 
@@ -317,11 +316,33 @@ TEST(Shard, WorkersSuffixTelemetryOutputsAndTracesStitch) {
 #endif
   }
 
-  // The parent registered the shard traces as merge inputs: the stitched
-  // document has three named process rows (parent + both shards) under
-  // distinct real pids, and the shard spans keep their own pids.
+  // Each shard trace is a complete document on its own — what a crashed
+  // parent leaves behind opens without a stitch: exactly one named process
+  // row, the worker's own pid, labelled "shard k".
+  for (int k = 0; k < 2; ++k) {
+    const obs::JsonValue shard =
+        obs::parse_json(slurp(dir + "/trace.json.shard" + std::to_string(k)));
+    const std::int64_t shard_pid = shard.at("pid").as_int();
+    EXPECT_NE(shard_pid, static_cast<std::int64_t>(::getpid())) << k;
+    int named_rows = 0;
+    for (const obs::JsonValue& event : shard.at("traceEvents").items) {
+      if (event.at("ph").text != "M" ||
+          event.at("name").text != "process_name") {
+        continue;
+      }
+      ++named_rows;
+      EXPECT_EQ(event.at("pid").as_int(), shard_pid) << k;
+      EXPECT_EQ(event.at("args").at("name").as_string(),
+                "shard " + std::to_string(k));
+    }
+    EXPECT_EQ(named_rows, 1) << k;
+  }
+
+  // The parent registered the shard traces as trace inputs: its export has
+  // three named process rows (parent + both shards) under distinct real
+  // pids, and the shard spans keep their own pids.
   std::ostringstream merged;
-  obs::agg::write_merged_chrome_trace(merged);
+  obs::write_chrome_trace(merged);
   const obs::JsonValue doc = obs::parse_json(merged.str());
   std::vector<std::int64_t> named_pids;
   std::vector<std::int64_t> span_pids;
@@ -354,7 +375,7 @@ TEST(Shard, WorkersSuffixTelemetryOutputsAndTracesStitch) {
   obs::set_tracing_enabled(false);
   obs::set_trace_output_path(std::string());
   obs::set_metrics_output_path(std::string());
-  obs::agg::clear_trace_merge_inputs();
+  obs::clear_trace_inputs();
   fs::remove_all(dir);
 }
 

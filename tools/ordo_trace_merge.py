@@ -1,27 +1,24 @@
 #!/usr/bin/env python3
-"""ordo_trace_merge: stitch per-shard Chrome trace files into one timeline.
+"""ordo_trace_merge: validate ordo's Chrome trace files.
 
 A sharded run (run_study --shards N with ORDO_TRACE set) leaves one trace
-file per process: the parent's at the configured path and each worker's at
-`<path>.shard<k>` (the worker re-points its output at fork). Every file
-shares one steady-clock time origin — the parent pins the trace anchor
-before forking and the workers inherit it — so stitching is pure
-concatenation: no timestamp rebasing, just one `process_name` /
-`process_sort_index` metadata pair per input so chrome://tracing (or
-Perfetto) shows each process as a named row.
+file per process. Each worker writes `<path>.shard<k>`, a complete trace
+labelled "shard k" that opens on its own. The parent's export at `<path>`
+(obs::write_chrome_trace, src/obs/trace.hpp) appends every worker file's
+events after its own spans, with one `process_name` / `process_sort_index`
+metadata pair per real pid, so chrome://tracing (or Perfetto) shows each
+process as a named row. A crashed parent's leftovers need no stitch: open
+each `.shard<k>` file on its own.
 
-The in-process twin of this tool is obs/agg/trace_merge.hpp: the sharded
-parent's finalize() already writes the stitched file when merge inputs are
-registered. This tool exists for offline use — merging traces of a run
-that crashed before finalize, or re-merging after copying files off the
-machine — and as CI's stdlib-only validator for merged traces.
+This tool is the stdlib-only validator CI runs on both kinds of file: every
+span is well-typed and every span-emitting pid has a process_name row.
 
 Usage:
-  ordo_trace_merge.py -o merged.json parent.json shard0.json shard1.json
-  ordo_trace_merge.py --check merged.json --expect-processes 3
+  ordo_trace_merge.py --check trace.json --expect-processes 3
+  ordo_trace_merge.py --check trace.json.shard0 --expect-processes 1
   ordo_trace_merge.py --self-test
 
-Stdlib only; exit status: 0 ok, 1 validation/merge failure.
+Stdlib only; exit status: 0 ok, 1 validation failure.
 """
 
 import argparse
@@ -31,67 +28,15 @@ import sys
 METADATA_PHASE = "M"
 
 
-def load_trace(path):
-    """Returns (pid, label, events) for one per-process trace file."""
-    with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"),
-                                                   list):
-        raise ValueError(f"{path}: not a Chrome trace object with "
-                         f"traceEvents")
-    pid = doc.get("pid")
-    label = doc.get("process_label")
-    return pid, label, doc["traceEvents"]
-
-
-def metadata_rows(pid, label, sort_index):
-    return [
-        {"name": "process_name", "ph": METADATA_PHASE, "pid": pid,
-         "args": {"name": label}},
-        {"name": "process_sort_index", "ph": METADATA_PHASE, "pid": pid,
-         "args": {"sort_index": sort_index}},
-    ]
-
-
-def merge(input_paths, output_path):
-    """Stitches the input trace files into one merged file."""
-    events = []
-    seen_pids = set()
-    for sort_index, path in enumerate(input_paths):
-        pid, label, input_events = load_trace(path)
-        if pid is None:
-            # A file without the top-level pid (foreign tool, old schema)
-            # still merges; a synthetic negative pid keeps its row distinct.
-            pid = -(sort_index + 1)
-        if pid in seen_pids:
-            raise ValueError(f"{path}: duplicate pid {pid} — merging the "
-                             f"same process twice")
-        seen_pids.add(pid)
-        if not label:
-            label = f"pid {pid}"
-        events.extend(metadata_rows(pid, label, sort_index))
-        for event in input_events:
-            if isinstance(event, dict) \
-                    and event.get("ph") == METADATA_PHASE:
-                continue  # replaced by our metadata rows
-            events.append(event)
-    merged = {"displayTimeUnit": "ms", "traceEvents": events}
-    with open(output_path, "w", encoding="utf-8") as f:
-        json.dump(merged, f)
-        f.write("\n")
-    print(f"ordo_trace_merge: wrote {output_path} "
-          f"({len(events)} events from {len(input_paths)} processes)")
-
-
 def check(path, expect_processes):
-    """Returns a list of problems with a merged trace (empty = valid)."""
+    """Returns a list of problems with a trace file (empty = valid)."""
     errors = []
     try:
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
     except (OSError, ValueError) as e:
         return [f"cannot parse {path}: {e}"]
-    events = doc.get("traceEvents")
+    events = doc.get("traceEvents") if isinstance(doc, dict) else None
     if not isinstance(events, list):
         return [f"{path}: traceEvents missing or not a list"]
 
@@ -137,41 +82,64 @@ def check(path, expect_processes):
     return errors
 
 
+def process_rows(pid, label, sort_index):
+    return [
+        {"name": "process_name", "ph": METADATA_PHASE, "pid": pid,
+         "args": {"name": label}},
+        {"name": "process_sort_index", "ph": METADATA_PHASE, "pid": pid,
+         "args": {"sort_index": sort_index}},
+    ]
+
+
+def span(name, pid, ts=100):
+    return {"name": name, "cat": "ordo", "ph": "X", "ts": ts, "dur": 50,
+            "pid": pid, "tid": 1, "args": {"depth": 0}}
+
+
 def self_test():
-    """Merges synthetic shard traces in a temp dir and checks the result."""
+    """Runs check() on good and bad fixture documents in a temp dir."""
     import os
     import tempfile
 
+    processes = ((1000, "parent"), (1001, "shard 0"), (1002, "shard 1"))
+    merged = []
+    for k, (pid, label) in enumerate(processes):
+        merged += process_rows(pid, label, k)
+        # A control byte in a span name: ordo writes it as \u0001.
+        merged.append(span(f"study/matrix/m\u0001{k}", pid, ts=100 * k))
+    shard = [process_rows(1001, "shard 0", 0)[0], span("study/task", 1001)]
+    # (document or raw text, --expect-processes, should pass)
+    fixtures = {
+        "merged": ({"traceEvents": merged}, 3, True),
+        "shard": ({"pid": 1001, "process_label": "shard 0",
+                   "traceEvents": shard}, 1, True),
+        "wrong_count": ({"traceEvents": merged}, 2, False),
+        "unnamed_pid": ({"traceEvents": merged + [span("x", 7)]}, None,
+                        False),
+        "mistyped_span": ({"traceEvents": merged + [
+            dict(span("x", 1000), ts="100")]}, None, False),
+        "no_events": ({"displayTimeUnit": "ms"}, None, False),
+        "torn": ('{"traceEvents": [{"name": "a\\u0001', None, False),
+        # An unescaped control byte is not JSON; strict readers refuse it.
+        "raw_control": ('{"traceEvents": [{"name": "a\x01", "ph": "M"}]}',
+                        None, False),
+    }
+    errors = []
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for k, (pid, label) in enumerate(
-                ((1000, "parent"), (1001, "shard 0"), (1002, "shard 1"))):
-            doc = {
-                "schema_version": 1, "pid": pid, "process_label": label,
-                "displayTimeUnit": "ms",
-                "traceEvents": [
-                    {"name": "process_name", "ph": "M", "pid": pid,
-                     "args": {"name": label}},
-                    {"name": f"span{k}", "cat": "ordo", "ph": "X",
-                     "ts": 100 * k, "dur": 50, "pid": pid, "tid": 1,
-                     "args": {"depth": 0}},
-                ],
-            }
-            path = os.path.join(tmp, f"trace{k}.json")
+        for name, (doc, expect, should_pass) in fixtures.items():
+            path = os.path.join(tmp, f"{name}.json")
             with open(path, "w", encoding="utf-8") as f:
-                json.dump(doc, f)
-            paths.append(path)
-        merged_path = os.path.join(tmp, "merged.json")
-        merge(paths, merged_path)
-        errors = check(merged_path, expect_processes=3)
-        # The merge must keep every span and deduplicate nothing else.
-        with open(merged_path, encoding="utf-8") as f:
-            merged = json.load(f)
-        spans = [e for e in merged["traceEvents"] if e.get("ph") == "X"]
-        if len(spans) != 3:
-            errors.append(f"self-test: expected 3 spans, got {len(spans)}")
-        if sorted(e["pid"] for e in spans) != [1000, 1001, 1002]:
-            errors.append("self-test: span pids were not preserved")
+                f.write(doc if isinstance(doc, str) else json.dumps(doc))
+            if name == "merged":
+                with open(path, encoding="utf-8") as f:
+                    if "\\u0001" not in f.read():
+                        errors.append("self-test: fixture lost its \\u0001 "
+                                      "escape")
+            problems = check(path, expect)
+            if should_pass and problems:
+                errors.append(f"self-test: {name} rejected: {problems}")
+            if not should_pass and not problems:
+                errors.append(f"self-test: {name} accepted")
     for error in errors:
         print(f"ordo_trace_merge --self-test FAILED: {error}")
     if not errors:
@@ -181,37 +149,24 @@ def self_test():
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("inputs", nargs="*",
-                        help="per-process trace files, parent first "
-                             "(row order follows argument order)")
-    parser.add_argument("-o", "--output",
-                        help="write the merged trace to this path")
     parser.add_argument("--check", metavar="FILE",
-                        help="validate a merged trace instead of merging")
+                        help="validate a trace file")
     parser.add_argument("--expect-processes", type=int,
                         help="with --check: require exactly N named "
                              "process rows")
     parser.add_argument("--self-test", action="store_true",
-                        help="merge synthetic traces in a temp dir and "
-                             "validate the result (CI smoke)")
+                        help="check good and bad fixture traces in a temp "
+                             "dir (CI smoke)")
     args = parser.parse_args()
 
     if args.self_test:
         return self_test()
-    if args.check:
-        errors = check(args.check, args.expect_processes)
-        for error in errors:
-            print(f"ordo_trace_merge --check FAILED: {error}")
-        return 1 if errors else 0
-    if not args.inputs or not args.output:
-        parser.error("merge mode needs input files and -o/--output "
-                     "(or use --check / --self-test)")
-    try:
-        merge(args.inputs, args.output)
-    except (OSError, ValueError) as e:
-        print(f"ordo_trace_merge: {e}", file=sys.stderr)
-        return 1
-    return 0
+    if not args.check:
+        parser.error("nothing to do: use --check FILE or --self-test")
+    errors = check(args.check, args.expect_processes)
+    for error in errors:
+        print(f"ordo_trace_merge --check FAILED: {error}")
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":
