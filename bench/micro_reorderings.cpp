@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the reordering algorithms themselves
-// (serial, as in the study) on two structural extremes: a 2D mesh and a
-// power-law graph.
+// (serial, as in the study) on two structural extremes, a 2D mesh and a
+// power-law graph, plus the BFS orderings on a road network whose hundreds
+// of connected components expose any per-component O(n) cost.
 #include <benchmark/benchmark.h>
 
 #include "bench_report_main.hpp"
@@ -17,6 +18,11 @@ const CsrMatrix& mesh() {
 }
 const CsrMatrix& powerlaw() {
   static const CsrMatrix a = gen_rmat(12, 8, 0.57, 0.19, 0.19, 5);
+  return a;
+}
+
+const CsrMatrix& road() {
+  static const CsrMatrix a = gen_road_network(200000, 5);
   return a;
 }
 
@@ -41,6 +47,15 @@ void BM_RcmPowerLaw(benchmark::State& s) { bench_ordering(s, powerlaw(), Orderin
 void BM_AmdPowerLaw(benchmark::State& s) { bench_ordering(s, powerlaw(), OrderingKind::kAmd); }
 void BM_GpPowerLaw(benchmark::State& s) { bench_ordering(s, powerlaw(), OrderingKind::kGp); }
 void BM_GrayPowerLaw(benchmark::State& s) { bench_ordering(s, powerlaw(), OrderingKind::kGray); }
+void BM_RcmRoad(benchmark::State& s) { bench_ordering(s, road(), OrderingKind::kRcm); }
+void BM_KingRoad(benchmark::State& s) {
+  for (auto _ : s) benchmark::DoNotOptimize(king_ordering(road()));
+  s.SetItemsProcessed(s.iterations() * road().num_nonzeros());
+}
+void BM_WindowedRcmRoad(benchmark::State& s) {
+  for (auto _ : s) benchmark::DoNotOptimize(windowed_rcm_ordering(road(), 4096));
+  s.SetItemsProcessed(s.iterations() * road().num_nonzeros());
+}
 
 BENCHMARK(BM_RcmMesh);
 BENCHMARK(BM_AmdMesh);
@@ -52,6 +67,9 @@ BENCHMARK(BM_RcmPowerLaw);
 BENCHMARK(BM_AmdPowerLaw);
 BENCHMARK(BM_GpPowerLaw);
 BENCHMARK(BM_GrayPowerLaw);
+BENCHMARK(BM_RcmRoad);
+BENCHMARK(BM_KingRoad);
+BENCHMARK(BM_WindowedRcmRoad);
 
 }  // namespace
 

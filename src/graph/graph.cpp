@@ -89,36 +89,62 @@ std::vector<index_t> bfs_levels(const Graph& g, index_t start) {
   return levels;
 }
 
-BfsResult bfs_degree_ordered(const Graph& g, index_t start) {
-  BfsResult result;
-  result.levels.assign(static_cast<std::size_t>(g.num_vertices()), -1);
-  result.order.reserve(static_cast<std::size_t>(g.num_vertices()));
-
-  std::vector<index_t> frontier{start};
-  result.levels[static_cast<std::size_t>(start)] = 0;
-  index_t level = 0;
-  std::vector<index_t> next;
-  while (!frontier.empty()) {
+void bfs_degree_ordered(const Graph& g, index_t start, BfsWorkspace& ws) {
+  const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+  if (ws.level.size() < n) {
+    ws.level.resize(n, -1);
+    ws.order.reserve(n);
+  }
+  ws.order.assign(1, start);
+  ws.level_begin.clear();
+  ws.level[static_cast<std::size_t>(start)] = 0;
+  // `order` doubles as the frontier queue: level L occupies
+  // [level_begin[L], level_begin[L + 1]) and level L + 1 is appended behind
+  // it while L is scanned.
+  for (std::size_t begin = 0; begin < ws.order.size();) {
+    const std::size_t end = ws.order.size();
+    const index_t next_level = static_cast<index_t>(ws.level_begin.size()) + 1;
+    ws.level_begin.push_back(begin);
     // Cuthill–McKee: within a level, visit vertices in ascending degree
-    // order (ties broken by vertex id for determinism).
-    std::sort(frontier.begin(), frontier.end(), [&](index_t a, index_t b) {
-      const index_t da = g.degree(a), db = g.degree(b);
-      return da != db ? da < db : a < b;
-    });
-    next.clear();
-    for (index_t v : frontier) {
-      result.order.push_back(v);
-      for (index_t u : g.neighbors(v)) {
-        if (result.levels[static_cast<std::size_t>(u)] < 0) {
-          result.levels[static_cast<std::size_t>(u)] = level + 1;
-          next.push_back(u);
+    // order (ties broken by vertex id for determinism). Sorting packed
+    // (degree, id) keys reads each degree once, not twice per comparison.
+    ws.level_keys.clear();
+    for (std::size_t k = begin; k < end; ++k) {
+      const index_t v = ws.order[k];
+      ws.level_keys.push_back(static_cast<std::uint64_t>(g.degree(v)) << 32 |
+                              static_cast<std::uint32_t>(v));
+    }
+    std::sort(ws.level_keys.begin(), ws.level_keys.end());
+    for (std::size_t k = begin; k < end; ++k) {
+      ws.order[k] = static_cast<index_t>(ws.level_keys[k - begin] & 0xffffffffu);
+    }
+    for (std::size_t k = begin; k < end; ++k) {
+      for (index_t u : g.neighbors(ws.order[k])) {
+        if (ws.level[static_cast<std::size_t>(u)] < 0) {
+          ws.level[static_cast<std::size_t>(u)] = next_level;
+          ws.order.push_back(u);
         }
       }
     }
-    result.eccentricity = level;
-    frontier.swap(next);
-    ++level;
+    begin = end;
   }
+  ws.level_begin.push_back(ws.order.size());
+  for (index_t v : ws.order) ws.level[static_cast<std::size_t>(v)] = -1;
+}
+
+BfsResult bfs_degree_ordered(const Graph& g, index_t start) {
+  BfsWorkspace ws;
+  bfs_degree_ordered(g, start, ws);
+  BfsResult result;
+  result.levels.assign(static_cast<std::size_t>(g.num_vertices()), -1);
+  for (std::size_t l = 0; l + 1 < ws.level_begin.size(); ++l) {
+    for (std::size_t k = ws.level_begin[l]; k < ws.level_begin[l + 1]; ++k) {
+      result.levels[static_cast<std::size_t>(ws.order[k])] =
+          static_cast<index_t>(l);
+    }
+  }
+  result.eccentricity = ws.eccentricity();
+  result.order = std::move(ws.order);
   return result;
 }
 
@@ -145,30 +171,38 @@ Components connected_components(const Graph& g) {
   return result;
 }
 
-index_t pseudo_peripheral_vertex(const Graph& g, index_t seed) {
+index_t pseudo_peripheral_vertex(const Graph& g, index_t seed,
+                                 BfsWorkspace& ws) {
   require(seed >= 0 && seed < g.num_vertices(),
           "pseudo_peripheral_vertex: seed out of range");
   index_t current = seed;
-  BfsResult bfs = bfs_degree_ordered(g, current);
-  index_t eccentricity = bfs.eccentricity;
-  // Iterate: pick a minimum-degree vertex from the deepest level; stop once
-  // the eccentricity no longer increases (George & Liu 1979).
+  bfs_degree_ordered(g, current, ws);
+  index_t eccentricity = ws.eccentricity();
+  // Iterate: pick a minimum-degree vertex from the deepest level (the first
+  // in visit order on ties); stop once the eccentricity no longer increases
+  // (George & Liu 1979).
   for (int iteration = 0; iteration < 16; ++iteration) {
     index_t best = -1;
-    for (index_t v : bfs.order) {
-      if (bfs.levels[static_cast<std::size_t>(v)] == eccentricity &&
-          (best < 0 || g.degree(v) < g.degree(best))) {
-        best = v;
-      }
+    for (index_t v : ws.last_level()) {
+      if (best < 0 || g.degree(v) < g.degree(best)) best = v;
     }
-    if (best < 0) break;
-    BfsResult trial = bfs_degree_ordered(g, best);
-    if (trial.eccentricity <= eccentricity) break;
+    ws.order.swap(ws.spare_order);
+    ws.level_begin.swap(ws.spare_level_begin);
+    bfs_degree_ordered(g, best, ws);
+    if (ws.eccentricity() <= eccentricity) {
+      ws.order.swap(ws.spare_order);
+      ws.level_begin.swap(ws.spare_level_begin);
+      break;
+    }
     current = best;
-    eccentricity = trial.eccentricity;
-    bfs = std::move(trial);
+    eccentricity = ws.eccentricity();
   }
   return current;
+}
+
+index_t pseudo_peripheral_vertex(const Graph& g, index_t seed) {
+  BfsWorkspace ws;
+  return pseudo_peripheral_vertex(g, seed, ws);
 }
 
 }  // namespace ordo

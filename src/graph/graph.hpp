@@ -87,8 +87,39 @@ struct BfsResult {
   index_t eccentricity = 0;     // index of the last (deepest) level
 };
 
-/// BFS that visits each level's vertices in ascending-degree order, as the
-/// Cuthill–McKee algorithm requires.
+/// Caller-owned scratch for the degree-ordered BFS. `level` is all -1
+/// between calls and each BFS resets only the vertices it reached, so a
+/// search costs O(component + level sorts) rather than O(n): a caller that
+/// walks every component of a graph with one workspace does linear work in
+/// total. It grows on demand and serves graphs of any size in turn.
+struct BfsWorkspace {
+  std::vector<index_t> level;  // per vertex; all -1 between calls
+  // The last search: visited vertices in visit order, and where each level
+  // starts in `order` (one entry per level plus a final order.size()).
+  std::vector<index_t> order;
+  std::vector<std::size_t> level_begin;
+  std::vector<std::uint64_t> level_keys;  // one level's sort keys
+  // Where pseudo_peripheral_vertex keeps the best search while it tries
+  // the next candidate.
+  std::vector<index_t> spare_order;
+  std::vector<std::size_t> spare_level_begin;
+
+  /// Index of the deepest level of the last search.
+  index_t eccentricity() const {
+    return static_cast<index_t>(level_begin.size()) - 2;
+  }
+  /// The deepest level's vertices, in visit order.
+  std::span<const index_t> last_level() const {
+    return std::span<const index_t>(order).subspan(
+        level_begin[level_begin.size() - 2]);
+  }
+};
+
+/// BFS that visits each level's vertices in ascending-degree order (ties by
+/// vertex id), as the Cuthill–McKee algorithm requires. The result is left
+/// in `ws.order` / `ws.level_begin`.
+void bfs_degree_ordered(const Graph& g, index_t start, BfsWorkspace& ws);
+/// The same search with a workspace of its own, levels filled for all n.
 BfsResult bfs_degree_ordered(const Graph& g, index_t start);
 
 /// Connected components: returns a component id per vertex and the number of
@@ -102,6 +133,10 @@ Components connected_components(const Graph& g);
 /// George–Liu pseudo-peripheral vertex heuristic: starting from `seed`,
 /// repeatedly moves to a minimum-degree vertex of the deepest BFS level until
 /// the eccentricity stops growing. Used to pick RCM starting vertices.
+/// Leaves the search from the returned vertex in `ws`, so a caller that
+/// needs it does not run it again.
+index_t pseudo_peripheral_vertex(const Graph& g, index_t seed,
+                                 BfsWorkspace& ws);
 index_t pseudo_peripheral_vertex(const Graph& g, index_t seed);
 
 }  // namespace ordo

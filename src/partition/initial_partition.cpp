@@ -85,9 +85,10 @@ std::vector<index_t> greedy_graph_growing_bisection(const Graph& g,
   std::mt19937_64 rng(seed);
   std::vector<index_t> best;
   std::int64_t best_cut = std::numeric_limits<std::int64_t>::max();
+  BfsWorkspace ws;
   for (int trial = 0; trial < std::max(1, num_trials); ++trial) {
     std::uniform_int_distribution<index_t> dist(0, n - 1);
-    const index_t start = pseudo_peripheral_vertex(g, dist(rng));
+    const index_t start = pseudo_peripheral_vertex(g, dist(rng), ws);
     std::vector<index_t> part = grow_from(g, start, target_weight);
     const std::int64_t cut = compute_edge_cut(g, part);
     if (cut < best_cut) {

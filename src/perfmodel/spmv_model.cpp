@@ -102,19 +102,18 @@ SpmvEstimate SpmvModel::estimate(const engine::Plan& plan,
     estimate.max_thread_nnz = std::max(estimate.max_thread_nnz, thread_nnz);
     if (thread_nnz == 0) continue;
 
-    // Cache misses on the x gather within this thread's nonzero range.
+    // Cache misses on the x gather within this thread's nonzero range. The
+    // capacities nest (l1 <= l2 <= llc), so an access missing a level also
+    // missed every smaller one and the three counts need no branches.
     std::int64_t miss_l1 = 0, miss_l2 = 0, miss_llc = 0;
+    const offset_t* previous = profile_.previous_access.data();
+    const index_t* distance = profile_.stack_distance.data();
     for (offset_t k = k0; k < k1; ++k) {
-      const std::size_t i = static_cast<std::size_t>(k);
-      const bool cold = profile_.previous_access[i] < k0;
-      const index_t sd = profile_.stack_distance[i];
-      if (cold || sd >= l1_lines) {
-        ++miss_l1;
-        if (cold || sd >= l2_lines) {
-          ++miss_l2;
-          if (cold || sd >= llc_lines) ++miss_llc;
-        }
-      }
+      const bool cold = previous[k] < k0;
+      const index_t sd = distance[k];
+      miss_l1 += cold | (sd >= l1_lines);
+      miss_l2 += cold | (sd >= l2_lines);
+      miss_llc += cold | (sd >= llc_lines);
     }
 
     // Rows spanned and row-length transitions (branch behaviour). Plans

@@ -62,10 +62,13 @@ ShardExit describe_exit(int wait_status) {
     // the parked restart configuration must not leak into the child) and
     // start this worker's own heartbeat.
     obs::status::stop();
-    // Start this worker's registry empty: what the parent recorded before
-    // the fork stays the parent's, so the post-waitpid fold adds only the
-    // workers' own samples instead of counting the parent's again.
+    // Start this worker's registry and span buffers empty: what the parent
+    // recorded before the fork stays the parent's, so the post-waitpid fold
+    // adds only the workers' own samples instead of counting the parent's
+    // again, and the stitched trace shows each pre-fork span once, on the
+    // parent's row.
     obs::reset_metrics();
+    obs::clear_trace();
     // Re-point the inherited per-process outputs: N workers writing the
     // parent's ORDO_TRACE / ORDO_METRICS paths would clobber each other
     // (and the parent's own dump), so each gets the journal/heartbeat

@@ -14,24 +14,27 @@
 
 namespace ordo {
 
-Permutation cuthill_mckee_ordering(const CsrMatrix& a) {
-  require(a.is_square(), "cuthill_mckee_ordering: matrix must be square");
-  const Graph g = Graph::from_matrix(a);
+Permutation cuthill_mckee_ordering(const Graph& g, BfsWorkspace& ws) {
   const index_t n = g.num_vertices();
-
   Permutation order;
   order.reserve(static_cast<std::size_t>(n));
   std::vector<bool> visited(static_cast<std::size_t>(n), false);
   for (index_t s = 0; s < n; ++s) {
     if (visited[static_cast<std::size_t>(s)]) continue;
-    const index_t start = pseudo_peripheral_vertex(g, s);
-    const BfsResult bfs = bfs_degree_ordered(g, start);
-    for (index_t v : bfs.order) {
+    // Leaves the search from the component's start vertex in ws.order.
+    pseudo_peripheral_vertex(g, s, ws);
+    for (index_t v : ws.order) {
       visited[static_cast<std::size_t>(v)] = true;
       order.push_back(v);
     }
   }
   return order;
+}
+
+Permutation cuthill_mckee_ordering(const CsrMatrix& a) {
+  require(a.is_square(), "cuthill_mckee_ordering: matrix must be square");
+  BfsWorkspace ws;
+  return cuthill_mckee_ordering(Graph::from_matrix(a), ws);
 }
 
 Permutation rcm_ordering(const CsrMatrix& a) {

@@ -17,6 +17,8 @@
 namespace ordo {
 
 class BisectionMemo;
+class Graph;
+struct BfsWorkspace;
 
 /// The reordering algorithms of the study, plus extra baselines used for
 /// ablation benches.
@@ -108,6 +110,9 @@ Permutation rcm_ordering(const CsrMatrix& a);
 
 /// Cuthill–McKee without the final reversal (exposed for tests/ablation).
 Permutation cuthill_mckee_ordering(const CsrMatrix& a);
+/// The same over a graph, its searches run in the caller's workspace:
+/// O(n + m) plus the level sorts however many components the graph has.
+Permutation cuthill_mckee_ordering(const Graph& g, BfsWorkspace& ws);
 
 /// Band-limited windowed RCM — the out-of-core variant: RCM is computed
 /// independently on each contiguous block of `window_rows` rows (edges

@@ -36,6 +36,7 @@ Permutation windowed_rcm_ordering(const CsrMatrix& a, index_t window_rows,
   std::vector<offset_t> local_ptr;
   std::vector<index_t> local_adj;
   std::vector<std::vector<index_t>> local_lists;
+  BfsWorkspace ws;  // shared by every window's searches
   for (index_t w0 = 0; w0 < n; w0 += window_rows) {
     poll_cancelled(cancel, "windowed_rcm_ordering");
     const index_t w1 = std::min<index_t>(n, w0 + window_rows);
@@ -65,18 +66,7 @@ Permutation windowed_rcm_ordering(const CsrMatrix& a, index_t window_rows,
     // Window-local CM, then the RCM reversal within the window: component
     // starts follow the same ascending-lowest-vertex discipline as the
     // global algorithm, so the pass is deterministic.
-    std::vector<index_t> window_order;
-    window_order.reserve(static_cast<std::size_t>(wn));
-    std::vector<bool> visited(static_cast<std::size_t>(wn), false);
-    for (index_t s = 0; s < wn; ++s) {
-      if (visited[static_cast<std::size_t>(s)]) continue;
-      const index_t start = pseudo_peripheral_vertex(g, s);
-      const BfsResult bfs = bfs_degree_ordered(g, start);
-      for (index_t v : bfs.order) {
-        visited[static_cast<std::size_t>(v)] = true;
-        window_order.push_back(v);
-      }
-    }
+    Permutation window_order = cuthill_mckee_ordering(g, ws);
     std::reverse(window_order.begin(), window_order.end());
     for (const index_t v : window_order) order.push_back(w0 + v);
   }

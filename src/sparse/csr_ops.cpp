@@ -37,9 +37,26 @@ CsrMatrix transpose(const CsrMatrix& a) {
 
 bool is_pattern_symmetric(const CsrMatrix& a) {
   if (!a.is_square()) return false;
-  const CsrMatrix at = transpose(a);
-  return std::ranges::equal(a.row_ptr(), at.row_ptr()) &&
-         std::ranges::equal(a.col_idx(), at.col_idx());
+  // Every entry (i, j) must meet its mirror (j, i). Scanning rows in
+  // ascending order reaches the mirrors stored in row j in ascending i,
+  // the order the sorted row holds them, so one cursor per row checks the
+  // whole pattern in one pass without building the transpose. The cursors
+  // advance nnz times in total and never past their row's end, so a
+  // passing scan matches every entry with exactly one mirror.
+  const auto row_ptr = a.row_ptr();
+  const auto col_idx = a.col_idx();
+  std::vector<offset_t> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  for (index_t i = 0; i < a.num_rows(); ++i) {
+    for (const index_t j : a.row_cols(i)) {
+      offset_t& c = cursor[static_cast<std::size_t>(j)];
+      if (c == row_ptr[static_cast<std::size_t>(j) + 1] ||
+          col_idx[static_cast<std::size_t>(c)] != i) {
+        return false;
+      }
+      ++c;
+    }
+  }
+  return true;
 }
 
 CsrMatrix symmetrize(const CsrMatrix& a) {

@@ -379,6 +379,44 @@ TEST(Shard, WorkersSuffixTelemetryOutputsAndTracesStitch) {
   fs::remove_all(dir);
 }
 
+#if defined(ORDO_OBS_ENABLED)
+TEST(Shard, PreForkSpansStayOnTheParentRow) {
+  // A span the parent closed before forking is the parent's alone: the
+  // workers start with empty span buffers, so the stitched trace shows it
+  // once, under the parent's pid, not once more per shard row.
+  const std::string dir = fresh_dir("ordo_shard_prefork_spans");
+  obs::set_tracing_enabled(true);
+  obs::clear_trace();
+  obs::clear_trace_inputs();
+  obs::set_trace_output_path(dir + "/trace.json");
+  const auto corpus = generate_corpus(tiny_corpus());
+
+  StudyOptions options;
+  options.shards = 2;
+  options.checkpoint_dir = dir;
+  EXPECT_TRUE(pipeline::run_sharded_study(corpus, options).failures.empty());
+
+  std::ostringstream merged;
+  obs::write_chrome_trace(merged);
+  const obs::JsonValue doc = obs::parse_json(merged.str());
+  std::vector<std::int64_t> generate_pids;
+  for (const obs::JsonValue& event : doc.at("traceEvents").items) {
+    if (event.at("ph").text != "M" &&
+        event.at("name").as_string() == "corpus/generate") {
+      generate_pids.push_back(event.at("pid").as_int());
+    }
+  }
+  ASSERT_EQ(generate_pids.size(), 1u);
+  EXPECT_EQ(generate_pids.front(), static_cast<std::int64_t>(::getpid()));
+
+  obs::set_tracing_enabled(false);
+  obs::set_trace_output_path(std::string());
+  obs::clear_trace_inputs();
+  obs::clear_trace();
+  fs::remove_all(dir);
+}
+#endif
+
 TEST(Shard, PerShardFileNamesAreStable) {
   EXPECT_EQ(pipeline::shard_journal_filename(3), "study_journal.shard3.jsonl");
   EXPECT_EQ(pipeline::shard_failures_filename(0),

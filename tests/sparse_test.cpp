@@ -1,6 +1,8 @@
 // Tests for the sparse containers and structural operations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sparse/csr_ops.hpp"
 #include "sparse/permutation.hpp"
 #include "test_util.hpp"
@@ -88,6 +90,50 @@ TEST(Symmetrize, SumsMirroredValues) {
 TEST(Symmetrize, ProducesSymmetricPatternOnRandom) {
   const CsrMatrix a = random_square(120, 4.0, 5);
   EXPECT_TRUE(is_pattern_symmetric(symmetrize(a)));
+}
+
+TEST(PatternSymmetry, ComparesPatternsNotValues) {
+  // Symmetric pattern, unsymmetric values, with an empty row (row 2).
+  CooMatrix sym(4, 4);
+  sym.add(0, 0, 1.0);
+  sym.add(0, 3, 2.0);
+  sym.add(3, 0, -7.0);
+  sym.add(1, 3, 0.5);
+  sym.add(3, 1, 4.0);
+  sym.add(3, 3, 1.0);
+  const CsrMatrix a = CsrMatrix::from_coo(sym);
+  ASSERT_EQ(a.row_nonzeros(2), 0);
+  EXPECT_TRUE(is_pattern_symmetric(a));
+
+  // One entry without its mirror; the row counts still agree with the
+  // column counts, so only the entries themselves can tell.
+  CooMatrix unsym(3, 3);
+  unsym.add(0, 1, 1.0);
+  unsym.add(1, 2, 1.0);
+  unsym.add(2, 0, 1.0);
+  EXPECT_FALSE(is_pattern_symmetric(CsrMatrix::from_coo(unsym)));
+  CooMatrix missing(3, 3);  // (1, 2) has no mirror
+  missing.add(0, 2, 1.0);
+  missing.add(2, 0, 1.0);
+  missing.add(1, 2, 1.0);
+  EXPECT_FALSE(is_pattern_symmetric(CsrMatrix::from_coo(missing)));
+
+  // Non-square matrices are never pattern-symmetric; the empty one is.
+  CooMatrix wide(2, 3);
+  wide.add(0, 0, 1.0);
+  wide.add(1, 1, 1.0);
+  EXPECT_FALSE(is_pattern_symmetric(CsrMatrix::from_coo(wide)));
+  EXPECT_TRUE(is_pattern_symmetric(CsrMatrix::from_coo(CooMatrix(0, 0))));
+
+  // Agrees with the transpose-and-compare definition on random patterns.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const CsrMatrix r = random_square(40, 3.0, seed);
+    const CsrMatrix rt = transpose(r);
+    const bool expected = std::ranges::equal(r.row_ptr(), rt.row_ptr()) &&
+                          std::ranges::equal(r.col_idx(), rt.col_idx());
+    EXPECT_EQ(is_pattern_symmetric(r), expected) << seed;
+    EXPECT_TRUE(is_pattern_symmetric(symmetrize(r))) << seed;
+  }
 }
 
 TEST(Permutations, InvertAndCompose) {
